@@ -2,42 +2,22 @@
 
 __version__ = "0.1.0"
 
-from .budget import BudgetState, EmissionsBudget, fixed_allowance
+from .budget import EmissionsBudget
 from .carbon import (
     CarbonIntensityTrace,
     ColumnMap,
     coefficient_of_variation,
     parse_trace,
-    to_g_per_watt_second,
 )
-from .cluster import (
-    LARGE,
-    MEDIUM,
-    SMALL,
-    MigrationTargetSet,
-    Node,
-    NodeSpec,
-    max_utilization_under_power_cap,
-    node_power,
-    utilization_for_cu,
-    viable_targets,
-)
+from .cluster import LARGE, MEDIUM, SMALL, NodeSpec
 from .engine import (
     PolicySpec,
     ScenarioConfig,
     SimulationReport,
-    StepRecord,
     run_matrix,
     run_scenario,
 )
-from .policies import (
-    ActionKind,
-    PolicyAction,
-    PolicyInput,
-    fixed_rate_policy,
-    greedy_budget_policy,
-    unlimited_policy,
-)
+from .policies import choose_option
 from .reporting import SummaryRow, aggregate, summarize, summary_csv, trace_cv
 from .workload import (
     DiurnalTraceParams,

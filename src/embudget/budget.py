@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _OVERDRAFT_EPS = 1e-12
 
 
@@ -17,16 +15,6 @@ class BudgetViolationError(BudgetError):
 
 class HorizonError(BudgetError):
     pass
-
-
-@dataclass(frozen=True)
-class BudgetState:
-    """Read-only snapshot of a budget at some elapsed time."""
-
-    remaining: float
-    elapsed: float
-    surplus: float
-    exhausted: bool
 
 
 class EmissionsBudget:
@@ -81,19 +69,3 @@ class EmissionsBudget:
             raise HorizonError(f"now={now} outside [0, {self.horizon})")
         allowance = self.base_rate * (now + 1.0) - self._spent
         return allowance if allowance > 0.0 else 0.0
-
-    def state(self, now: float) -> BudgetState:
-        remaining = self.total - self._spent
-        return BudgetState(
-            remaining=remaining,
-            elapsed=now,
-            surplus=self.base_rate * now - self._spent,
-            exhausted=remaining <= 1e-12,
-        )
-
-
-def fixed_allowance(rate_limit: float) -> float:
-    """Per-second allowance of a constant-rate limit, independent of history."""
-    if rate_limit < 0:
-        raise BudgetError(f"rate limit must be >= 0, got {rate_limit}")
-    return rate_limit

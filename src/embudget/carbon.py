@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -145,13 +145,6 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
         step=step,
         values=tuple(ci for _, ci in rows),
     )
-
-
-def to_g_per_watt_second(ci_kwh: float) -> float:
-    """Convert intensity from g/kWh to g/Ws (single exact division)."""
-    if ci_kwh < 0:
-        raise ValueError(f"negative carbon intensity {ci_kwh}")
-    return ci_kwh / WS_PER_KWH
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

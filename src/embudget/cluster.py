@@ -1,9 +1,8 @@
-"""Heterogeneous node models: linear power curve, CU mapping, migration viability."""
+"""Heterogeneous node profiles: capacity and the idle/peak endpoints of the power curve."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 
 class ClusterError(ValueError):
@@ -35,89 +34,4 @@ LARGE = NodeSpec("large", 200, 100.0, 1200.0)
 
 PRESETS: dict[str, tuple[NodeSpec, ...]] = {
     "default": (SMALL, MEDIUM, LARGE),
-    "small-medium-large": (SMALL, MEDIUM, LARGE),
 }
-
-
-@dataclass
-class Node:
-    """A node's runtime state. At most one hosted application."""
-
-    spec: NodeSpec
-    utilization: float = 0.0
-    hosted: str | None = None
-
-
-@dataclass(frozen=True)
-class MigrationTarget:
-    node: Node
-    projected_power: float
-
-    @property
-    def name(self) -> str:
-        return self.node.spec.name
-
-
-@dataclass(frozen=True)
-class MigrationTargetSet:
-    targets: tuple[MigrationTarget, ...]
-
-    def __iter__(self):
-        return iter(self.targets)
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def names(self) -> list[str]:
-        return [t.name for t in self.targets]
-
-
-def node_power(spec: NodeSpec, utilization: float) -> float:
-    """Linear power model: idle draw plus the utilization-proportional dynamic part."""
-    if not 0.0 <= utilization <= 1.0:
-        raise ClusterError(f"utilization {utilization} outside [0, 1]")
-    return spec.idle_power + (spec.peak_power - spec.idle_power) * utilization
-
-
-def utilization_for_cu(spec: NodeSpec, demand: float) -> float:
-    """Utilization needed to serve `demand` CU; saturates at 1.0 above capacity."""
-    if demand < 0:
-        raise ClusterError(f"negative CU demand {demand}")
-    u = demand / spec.capacity
-    return u if u < 1.0 else 1.0
-
-
-def max_utilization_under_power_cap(spec: NodeSpec, cap: float) -> float | None:
-    """Highest utilization whose power draw fits under `cap` watts.
-
-    Returns None when the cap cannot even cover idle power (node infeasible).
-    """
-    if cap < spec.idle_power:
-        return None
-    u = (cap - spec.idle_power) / (spec.peak_power - spec.idle_power)
-    return u if u < 1.0 else 1.0
-
-
-def viable_targets(cluster: Sequence[Node], current: Node, demand: float) -> MigrationTargetSet:
-    """Unoccupied nodes that keep resources whole and strictly reduce power at `demand`.
-
-    Ordered by projected power ascending, ties by smaller capacity, then name.
-    """
-    if not any(n is current for n in cluster):
-        raise ClusterError("current node is not a member of the cluster")
-    if demand < 0:
-        raise ClusterError(f"negative CU demand {demand}")
-
-    needed = min(demand, current.spec.capacity)
-    current_power = node_power(current.spec, utilization_for_cu(current.spec, demand))
-    found = []
-    for node in cluster:
-        if node is current or node.hosted is not None:
-            continue
-        if node.spec.capacity < needed:
-            continue
-        projected = node_power(node.spec, utilization_for_cu(node.spec, demand))
-        if projected < current_power:
-            found.append(MigrationTarget(node, projected))
-    found.sort(key=lambda t: (t.projected_power, t.node.spec.capacity, t.node.spec.name))
-    return MigrationTargetSet(tuple(found))

@@ -5,18 +5,17 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from .budget import EmissionsBudget
 from .carbon import WS_PER_KWH, CarbonIntensityTrace
 from .cluster import PRESETS, NodeSpec
-from .policies import ActionKind, choose_option
+from .policies import choose_option
 from .workload import DiurnalTraceParams, Task, TaskQueue, generate_diurnal_trace
 
-# Action codes stored in the per-step record columns.
+# Action codes stored in SimulationReport.action; ACTION_NAMES[code] is the name.
 _SCALE, _MIGRATE, _SUSPEND = 0, 1, 2
-_ACTION_KINDS = (ActionKind.SCALE, ActionKind.MIGRATE, ActionKind.SUSPEND)
+ACTION_NAMES = ("scale", "migrate", "suspend")
 
 POLICY_KINDS = ("unlimited", "fixed", "greedy_budget")
 
@@ -70,29 +69,6 @@ class ScenarioConfig:
         return problems
 
 
-@dataclass(frozen=True)
-class MonitorSample:
-    """What the monitor phase observed at one step."""
-
-    t: int
-    power_w: float
-    intensity_kwh: float
-    utilization: float
-    queued_demand: float
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    action: ActionKind
-    node: str | None
-    power_w: float
-    emission_g: float
-    allowance_g: float
-    completions: int
-    drops: int
-
-
 @dataclass
 class SimulationReport:
     """Per-step series plus scenario metadata; immutable once produced."""
@@ -118,32 +94,6 @@ class SimulationReport:
     admitted_tasks: int
     pending_tasks: int
     budget_spent_g: float | None
-
-    def step(self, i: int) -> StepRecord:
-        idx = self.node_index[i]
-        return StepRecord(
-            t=i,
-            action=_ACTION_KINDS[self.action[i]],
-            node=self.node_names[idx] if idx >= 0 else None,
-            power_w=self.power_w[i],
-            emission_g=self.emission_g[i],
-            allowance_g=self.allowance_g[i],
-            completions=self.completions[i],
-            drops=self.drops[i],
-        )
-
-    def records(self) -> Iterator[StepRecord]:
-        for i in range(self.horizon):
-            yield self.step(i)
-
-    def monitor_sample(self, i: int) -> MonitorSample:
-        return MonitorSample(
-            t=i,
-            power_w=self.power_w[i],
-            intensity_kwh=self.trace_values[i // self.trace_step],
-            utilization=self.utilization[i],
-            queued_demand=self.queued_demand[i],
-        )
 
     @property
     def total_emissions_g(self) -> float:

@@ -1,68 +1,17 @@
-"""Plan-phase policies: map budget state, migration targets, and demand to actions."""
+"""Plan phase: pick the node and utilization that serve the most demand under a power cap."""
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .budget import BudgetState
-from .cluster import MigrationTargetSet, Node, NodeSpec
+from .cluster import NodeSpec
 
 # Migrations with equal served CU must save at least this fraction of current
 # power, otherwise the application stays put (hysteresis against thrashing).
 MIGRATION_SAVING_FRACTION = 0.01
 
 _SERVED_EPS = 1e-9
-
-
-class ActionKind(enum.Enum):
-    SCALE = "scale"
-    MIGRATE = "migrate"
-    SUSPEND = "suspend"
-    NO_ACTION = "no_action"
-
-
-@dataclass(frozen=True)
-class PolicyAction:
-    kind: ActionKind
-    target_utilization: float = 0.0
-    node: str | None = None
-
-    @classmethod
-    def scale(cls, utilization: float) -> "PolicyAction":
-        return cls(ActionKind.SCALE, utilization)
-
-    @classmethod
-    def migrate(cls, node: str, utilization: float) -> "PolicyAction":
-        return cls(ActionKind.MIGRATE, utilization, node)
-
-    @classmethod
-    def suspend(cls) -> "PolicyAction":
-        return cls(ActionKind.SUSPEND)
-
-    @classmethod
-    def no_action(cls) -> "PolicyAction":
-        return cls(ActionKind.NO_ACTION)
-
-
-@dataclass(frozen=True)
-class PolicyInput:
-    """Analyze-phase outputs fed to a policy for one control step."""
-
-    budget_state: BudgetState | None
-    allowance: float            # grams spendable this second (inf when unconstrained)
-    migration_targets: MigrationTargetSet
-    demand: float               # queued CU demand this step
-    current_node: Node | None   # None while suspended
-    intensity_ws: float         # g CO2eq per watt-second
-
-    def __post_init__(self) -> None:
-        if self.allowance < 0:
-            raise ValueError(f"negative allowance {self.allowance}")
-        if self.demand < 0:
-            raise ValueError(f"negative demand {self.demand}")
 
 
 def choose_option(specs: Sequence[NodeSpec], current_index: int | None,
@@ -114,53 +63,3 @@ def choose_option(specs: Sequence[NodeSpec], current_index: int | None,
         if gain <= _SERVED_EPS and saving <= MIGRATION_SAVING_FRACTION * current[3]:
             return current[0], current[1]
     return best[0], best[1]
-
-
-def _decide(inp: PolicyInput, power_cap: float) -> PolicyAction:
-    specs: list[NodeSpec] = []
-    current_index = None
-    if inp.current_node is not None:
-        current_index = 0
-        specs.append(inp.current_node.spec)
-    for target in inp.migration_targets:
-        specs.append(target.node.spec)
-    index, utilization = choose_option(specs, current_index, inp.demand, power_cap)
-    if index is None:
-        return PolicyAction.suspend()
-    if index == current_index:
-        return PolicyAction.scale(utilization)
-    return PolicyAction.migrate(specs[index].name, utilization)
-
-
-def unlimited_policy(inp: PolicyInput) -> PolicyAction:
-    """Serve as much demand as possible at minimum power; ignores any budget."""
-    return _decide(inp, math.inf)
-
-
-def fixed_rate_policy(inp: PolicyInput, rate_limit: float) -> PolicyAction:
-    """Keep every second's emission under a constant rate limit via throttling."""
-    if rate_limit < 0:
-        raise ValueError(f"negative rate limit {rate_limit}")
-    if inp.intensity_ws > 0:
-        power_cap = rate_limit / inp.intensity_ws
-    else:
-        power_cap = math.inf
-    return _decide(inp, power_cap)
-
-
-def greedy_budget_policy(inp: PolicyInput) -> PolicyAction:
-    """Like the fixed-rate policy, but capped by the dynamic per-second allowance.
-
-    The allowance carries all banked surplus, so low-demand seconds are saved up
-    and spent immediately on later spikes. Once the allowance cannot cover any
-    node's idle emission the application suspends; after exhaustion the
-    allowance stays at zero, so suspension persists for the rest of the horizon
-    (unless intensity is zero, in which case running is free).
-    """
-    if inp.budget_state is None:
-        raise ValueError("greedy budget policy needs a budget state")
-    if inp.intensity_ws > 0:
-        power_cap = inp.allowance / inp.intensity_ws
-    else:
-        power_cap = math.inf
-    return _decide(inp, power_cap)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .carbon import WS_PER_KWH, coefficient_of_variation
-from .engine import SimulationReport
+from .engine import ACTION_NAMES, SimulationReport
 
 DEFAULT_PRICES_EUR_PER_TON = (80.0, 150.0, 700.0)
 SIX_HOURS = 21_600
@@ -113,7 +113,7 @@ def summary_csv(rows: Sequence[SummaryRow]) -> str:
 def steps_csv(report: SimulationReport) -> str:
     """Per-step CSV of a single scenario (one row per simulation second)."""
     lines = ["t,action,node,power_w,emission_g,allowance_g,completions,drops"]
-    action_names = ("scale", "migrate", "suspend")
+    action_names = ACTION_NAMES
     node_names = report.node_names
     power = report.power_w
     emission = report.emission_g

@@ -8,7 +8,7 @@ import io
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PENDING = 0
 FINISHED = 1
@@ -43,10 +43,6 @@ class Task:
             raise WorkloadError(f"task {self.id}: deadline must be after arrival")
         if self.total_work == 0.0:
             self.total_work = self.cu_demand * self.nominal_runtime
-
-    @property
-    def finished(self) -> bool:
-        return self.state == FINISHED
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ def constant_trace(ci: float, hours: int = 24, zone: str = "const") -> CarbonInt
     return CarbonIntensityTrace(zone, 0, 3600, (float(ci),) * hours)
 
 
+def option_power(spec, u: float) -> float:
+    """Linear power model, as the engine applies it to a chosen node and utilization."""
+    return spec.idle_power + (spec.peak_power - spec.idle_power) * u
+
+
 def simple_workload(base_rate: float = 0.5, task_cu: float = 2.0,
                     task_runtime: float = 10.0, deadline_slack: float = 60.0,
                     amplitudes=(0.0, 0.0), peak_times=(32400.0, 68400.0),

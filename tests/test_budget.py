@@ -3,13 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import constant_trace, make_config
 from embudget.budget import (
     BudgetError,
     BudgetViolationError,
     EmissionsBudget,
     HorizonError,
-    fixed_allowance,
 )
+from embudget.engine import ACTION_NAMES, PolicySpec, ScenarioError, run_scenario
+from embudget.workload import Task
 
 WEEK = 604_800.0
 
@@ -74,44 +76,58 @@ class TestGreedyAllowance:
             assert b.spent <= b.total + 1e-9
 
 
+def saturated_run(policy):
+    """Two minutes at 400 g/kWh on the default cluster with more demand than it can serve."""
+    tasks = [Task(i, 0, 5.0, 200.0, 1e9) for i in range(100)]
+    return run_scenario(make_config(policy.kind, constant_trace(400.0, hours=1), 120, policy,
+                                    tasks=tasks))
+
+
+def fixed_run(rate):
+    return saturated_run(PolicySpec("fixed", rate_g_per_s=rate))
+
+
 class TestFixedAllowance:
     def test_paper_rate(self):
-        assert fixed_allowance(0.0166) == 0.0166
+        assert set(fixed_run(0.0166).allowance_g) == {0.0166}
 
     def test_zero_forces_suspension(self):
-        assert fixed_allowance(0.0) == 0.0
+        report = fixed_run(0.0)
+        assert {ACTION_NAMES[a] for a in report.action} == {"suspend"}
+        assert set(report.emission_g) == {0.0}
 
     def test_huge_rate_unconstrained(self):
-        assert fixed_allowance(1e9) == 1e9
+        assert fixed_run(1e9).power_w == saturated_run(PolicySpec("unlimited")).power_w
 
     def test_negative_rejected(self):
-        with pytest.raises(BudgetError):
-            fixed_allowance(-1.0)
+        with pytest.raises(ScenarioError):
+            PolicySpec("fixed", rate_g_per_s=-1.0)
 
 
 class TestState:
     def test_fresh(self):
-        s = weekly_budget().state(0)
-        assert s.remaining == 10_080.0
-        assert s.surplus == 0.0
-        assert not s.exhausted
+        b = weekly_budget()
+        assert b.remaining == 10_080.0
+        assert b.spent == 0.0
+        assert b.greedy_allowance(0) == b.base_rate  # nothing banked yet
 
     def test_exhausted(self):
         b = weekly_budget()
         b.record_emission(10_080.0)
-        assert b.state(10).exhausted
+        assert b.remaining == 0.0
+        assert b.greedy_allowance(10) == 0.0
 
     def test_surplus_by_hand(self):
         b = weekly_budget()
         b.record_emission(2.0)
-        assert b.state(200).surplus == pytest.approx(200 * (10_080.0 / 604_800.0) - 2.0)
+        # banked surplus 200 * rate - 2 g, plus this second's base allocation
+        assert b.greedy_allowance(200) == pytest.approx(201 * (10_080.0 / 604_800.0) - 2.0)
 
     def test_surplus_identity(self):
         b = weekly_budget()
         for t in range(1000):
             b.record_emission(0.9 * b.greedy_allowance(t))
-        s = b.state(1000)
-        assert s.surplus + b.spent == pytest.approx(b.base_rate * 1000, abs=1e-9)
+        assert b.greedy_allowance(1000) + b.spent == pytest.approx(b.base_rate * 1001, abs=1e-9)
 
 
 class TestConservation:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from embudget.carbon import (
     CarbonIntensityTrace,
@@ -12,8 +12,9 @@ from embudget.carbon import (
     TraceSchemaError,
     coefficient_of_variation,
     parse_trace,
-    to_g_per_watt_second,
 )
+from embudget.cluster import MEDIUM
+from embudget.engine import PolicySpec, ScenarioConfig, run_scenario
 
 TWO_ROWS = "ts,ci\n2024-01-01T00:00Z,380\n2024-01-01T01:00Z,350\n"
 CMAP = ColumnMap(timestamp="ts", intensity="ci")
@@ -76,23 +77,32 @@ class TestIntensityAt:
         assert self.trace.intensity_at(t) == self.trace.values[t // 3600]
 
 
+def g_per_watt_second(ci_kwh):
+    """Emission per watt of one idle engine step at `ci_kwh` g/kWh."""
+    config = ScenarioConfig("conv", CarbonIntensityTrace("c", 0, 3600, (ci_kwh,)), 1,
+                            PolicySpec("unlimited"), cluster=(MEDIUM,), tasks=[])
+    report = run_scenario(config)
+    return report.emission_g[0] / report.power_w[0]
+
+
 class TestConversion:
     def test_definition_forced(self):
-        assert to_g_per_watt_second(3_600_000) == 1.0
+        assert g_per_watt_second(3_600_000) == 1.0
 
     def test_zero(self):
-        assert to_g_per_watt_second(0) == 0.0
+        assert g_per_watt_second(0) == 0.0
 
     def test_hand_arithmetic(self):
-        assert to_g_per_watt_second(400) == pytest.approx(1.1111111111e-4, rel=1e-9)
+        assert g_per_watt_second(400) == pytest.approx(1.1111111111e-4, rel=1e-9)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            to_g_per_watt_second(-1)
+        with pytest.raises(TraceError):
+            CarbonIntensityTrace("c", 0, 3600, (-1.0,))
 
+    @settings(deadline=None)
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False))
     def test_round_trip(self, x):
-        assert to_g_per_watt_second(x) * 3_600_000.0 == pytest.approx(x, rel=1e-15, abs=1e-300)
+        assert g_per_watt_second(x) * 3_600_000.0 == pytest.approx(x, rel=1e-15, abs=1e-300)
 
 
 class TestCoefficientOfVariation:

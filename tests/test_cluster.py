@@ -1,20 +1,14 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from embudget.cluster import (
-    LARGE,
-    MEDIUM,
-    SMALL,
-    ClusterError,
-    Node,
-    NodeSpec,
-    max_utilization_under_power_cap,
-    node_power,
-    utilization_for_cu,
-    viable_targets,
-)
+from conftest import constant_trace, make_config, option_power
+from embudget.cluster import LARGE, MEDIUM, SMALL, NodeSpec
+from embudget.engine import PolicySpec, run_scenario
+from embudget.policies import MIGRATION_SAVING_FRACTION, choose_option
+from embudget.workload import Task, WorkloadError
 
 specs = st.builds(
     NodeSpec,
@@ -24,133 +18,148 @@ specs = st.builds(
     peak_power=st.floats(min_value=201, max_value=2000),
 )
 
+SPECS = (SMALL, MEDIUM, LARGE)
+S, M, L = range(3)
+
+
+def one_step(spec, demand):
+    """Report of one unconstrained engine step with `demand` CU queued on a one-node cluster."""
+    tasks = [Task(0, 0, demand, 10.0, 100.0)] if demand > 0 else []
+    config = make_config("one", constant_trace(400.0, hours=1), 1, PolicySpec("unlimited"),
+                         tasks=tasks, cluster=(spec,), initial=spec.name)
+    return run_scenario(config)
+
 
 class TestNodePower:
     def test_medium_idle(self):
-        assert node_power(MEDIUM, 0.0) == 50.0
+        assert one_step(MEDIUM, 0).power_w[0] == 50.0
 
     def test_medium_ten_percent(self):
-        assert node_power(MEDIUM, 0.10) == pytest.approx(105.0)
+        assert one_step(MEDIUM, 10).power_w[0] == pytest.approx(105.0)
 
     def test_medium_peak(self):
-        assert node_power(MEDIUM, 1.0) == 600.0
+        assert one_step(MEDIUM, 100).power_w[0] == 600.0
 
     def test_small_peak_is_half(self):
-        assert node_power(SMALL, 1.0) == 300.0
+        assert one_step(SMALL, 50).power_w[0] == 300.0
 
     def test_out_of_range(self):
-        with pytest.raises(ClusterError):
-            node_power(MEDIUM, 1.01)
-        with pytest.raises(ClusterError):
-            node_power(MEDIUM, -0.01)
+        # demand beyond capacity saturates at full utilization, never past peak power
+        report = one_step(MEDIUM, 101)
+        assert report.utilization[0] == 1.0
+        assert report.power_w[0] == 600.0
 
+    @settings(max_examples=50, deadline=None)
     @given(specs)
     def test_endpoints(self, spec):
-        assert node_power(spec, 0.0) == spec.idle_power
-        assert node_power(spec, 1.0) == pytest.approx(spec.peak_power, rel=1e-12)
+        assert one_step(spec, 0).power_w[0] == spec.idle_power
+        assert one_step(spec, 2 * spec.capacity).power_w[0] == pytest.approx(
+            spec.peak_power, rel=1e-12)
 
+    @settings(max_examples=50, deadline=None)
     @given(specs, st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
-    def test_monotone(self, spec, u1, u2):
+    def test_monotone(self, spec, f1, f2):
         # non-decreasing only: a subnormal utilization gap can vanish in the fp sum
-        lo, hi = sorted([u1, u2])
-        assert node_power(spec, lo) <= node_power(spec, hi)
+        lo, hi = sorted([f1, f2])
+        assert (one_step(spec, lo * spec.capacity).power_w[0]
+                <= one_step(spec, hi * spec.capacity).power_w[0])
 
 
 class TestUtilizationForCu:
     def test_paper_operating_point(self):
-        assert utilization_for_cu(MEDIUM, 54) == pytest.approx(0.54)
+        assert one_step(MEDIUM, 54).utilization[0] == pytest.approx(0.54)
 
     def test_zero_demand(self):
-        assert utilization_for_cu(MEDIUM, 0) == 0.0
+        assert one_step(MEDIUM, 0).utilization[0] == 0.0
 
     def test_saturation(self):
-        assert utilization_for_cu(MEDIUM, 250) == 1.0
+        assert one_step(MEDIUM, 250).utilization[0] == 1.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ClusterError):
-            utilization_for_cu(MEDIUM, -1)
+        with pytest.raises(WorkloadError):
+            Task(0, 0, -1.0, 10.0, 100.0)
 
 
 class TestPowerCapInverse:
     def test_idle_exactly_affordable(self):
-        assert max_utilization_under_power_cap(MEDIUM, 50.0) == 0.0
+        assert choose_option((MEDIUM,), 0, 100, 50.0) == (0, 0.0)
 
     def test_hand_arithmetic(self):
-        u = max_utilization_under_power_cap(MEDIUM, 149.4)
+        _, u = choose_option((MEDIUM,), 0, 100, 149.4)
         assert u == pytest.approx(0.1807, abs=1e-3)
 
     def test_below_idle_infeasible(self):
-        assert max_utilization_under_power_cap(MEDIUM, 49.0) is None
+        assert choose_option((MEDIUM,), 0, 100, 49.0) == (None, 0.0)
 
-    @given(specs, st.floats(min_value=0, max_value=3000))
-    def test_inverse_consistency(self, spec, cap):
-        u = max_utilization_under_power_cap(spec, cap)
-        if u is None:
-            assert cap < spec.idle_power
-        else:
-            power = node_power(spec, u)
-            assert power <= cap + 1e-9
-            if cap <= spec.peak_power:
-                assert power == pytest.approx(cap, rel=1e-12)
-
-
-def one_of_each(hosted_on: str = "medium"):
-    nodes = [Node(SMALL), Node(MEDIUM), Node(LARGE)]
-    current = next(n for n in nodes if n.spec.name == hosted_on)
-    current.hosted = "app"
-    return nodes, current
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(specs, min_size=1, max_size=4), st.floats(min_value=0, max_value=3000),
+           st.floats(min_value=0, max_value=1000), st.data())
+    def test_inverse_consistency(self, cluster, cap, demand, data):
+        cur = data.draw(st.none() | st.integers(min_value=0, max_value=len(cluster) - 1))
+        idx, u = choose_option(cluster, cur, demand, cap)
+        if idx is None:
+            assert all(cap < spec.idle_power for spec in cluster)
+            return
+        spec = cluster[idx]
+        power = option_power(spec, u)
+        assert power <= cap + 1e-9
+        if u < min(demand / spec.capacity, 1.0):  # throttled: the cap binds
+            assert power == pytest.approx(cap, rel=1e-12)
 
 
 class TestViableTargets:
     def test_downsize_beats_upsize(self):
-        nodes, current = one_of_each("medium")
-        targets = viable_targets(nodes, current, 40)
-        assert targets.names() == ["small"]
-        assert targets.targets[0].projected_power == pytest.approx(245.0)
+        idx, u = choose_option(SPECS, M, 40, math.inf)
+        assert idx == S
+        assert option_power(SMALL, u) == pytest.approx(245.0)
 
     def test_no_capacity_no_target(self):
-        nodes, current = one_of_each("large")
-        assert len(viable_targets(nodes, current, 150)) == 0
+        assert choose_option(SPECS, L, 150, math.inf)[0] == L
 
     def test_idle_on_small_is_minimal(self):
-        nodes, current = one_of_each("small")
-        assert len(viable_targets(nodes, current, 0)) == 0
+        assert choose_option(SPECS, S, 0, math.inf) == (S, 0.0)
 
     def test_current_not_in_cluster(self):
-        nodes, _ = one_of_each()
-        with pytest.raises(ClusterError):
-            viable_targets(nodes, Node(MEDIUM, hosted="app"), 10)
+        # a suspended application resumes on the cheapest node that serves the demand
+        assert choose_option(SPECS, None, 10, math.inf) == (S, pytest.approx(0.2))
 
     def test_never_returns_current_or_occupied(self):
-        nodes, current = one_of_each("medium")
-        nodes[0].hosted = "other"  # small occupied
-        targets = viable_targets(nodes, current, 40)
-        assert targets.names() == []
+        # without the small node, nothing beats medium's power at 40 CU: stay put
+        assert choose_option((MEDIUM, LARGE), 0, 40, math.inf) == (0, pytest.approx(0.4))
 
     def test_brute_force_strict_power_reduction(self):
         rng = random.Random(7)
-        for _ in range(50):
+        for _ in range(200):
             cluster = [
-                Node(NodeSpec(f"n{i}", rng.randint(10, 300),
-                              float(rng.randint(0, 100)),
-                              float(rng.randint(200, 1500))))
+                NodeSpec(f"n{i}", rng.randint(10, 300),
+                         float(rng.randint(0, 100)),
+                         float(rng.randint(200, 1500)))
                 for i in range(5)
             ]
-            current = rng.choice(cluster)
-            current.hosted = "app"
+            cur = rng.randrange(5)
             demand = float(rng.randint(0, 350))
-            current_power = node_power(current.spec, utilization_for_cu(current.spec, demand))
-            targets = viable_targets(cluster, current, demand)
-            names = targets.names()
-            assert current.spec.name not in names
-            for target in targets:
-                assert target.projected_power < current_power
-                assert target.node.spec.capacity >= min(demand, current.spec.capacity)
-            # everything omitted is either occupied, too small, or not cheaper
-            for node in cluster:
-                if node is current or node.spec.name in names:
+            cap = rng.choice([math.inf, float(rng.randint(0, 1500))])
+            idx, u = choose_option(cluster, cur, demand, cap)
+            options = {}  # index -> (served CU, power) of every node the cap admits
+            for i, spec in enumerate(cluster):
+                if cap < spec.idle_power:
                     continue
-                projected = node_power(node.spec, utilization_for_cu(node.spec, demand))
-                assert (node.spec.capacity < min(demand, current.spec.capacity)
-                        or projected >= current_power)
-            current.hosted = None
+                u_max = min(1.0, (cap - spec.idle_power) / (spec.peak_power - spec.idle_power))
+                v = min(demand / spec.capacity, 1.0, u_max)
+                options[i] = (v * spec.capacity, option_power(spec, v))
+            if not options:
+                assert idx is None
+                continue
+            served = u * cluster[idx].capacity
+            best_served = max(s for s, _ in options.values())
+            assert served == pytest.approx(best_served, abs=1e-6)
+            if idx != cur:
+                # among the nodes serving the most CU, a move goes to the cheapest
+                assert option_power(cluster[idx], u) == pytest.approx(
+                    min(p for s, p in options.values() if s >= best_served - 1e-9))
+            if idx != cur and cur in options:
+                # a migration serves more, or saves more than the hysteresis margin
+                cur_served, cur_power = options[cur]
+                gain = served - cur_served
+                saving = cur_power - option_power(cluster[idx], u)
+                assert gain > 1e-9 or saving > MIGRATION_SAVING_FRACTION * cur_power

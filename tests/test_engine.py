@@ -5,7 +5,7 @@ import pytest
 from conftest import constant_trace, make_config, simple_workload
 from embudget.carbon import CarbonIntensityTrace
 from embudget.cluster import MEDIUM
-from embudget.engine import PolicySpec, ScenarioError, run_matrix, run_scenario
+from embudget.engine import ACTION_NAMES, PolicySpec, ScenarioError, run_matrix, run_scenario
 from embudget.workload import Task
 
 EXACT_RATE = 10_080.0 / 604_800.0
@@ -99,7 +99,7 @@ class TestBudgetAccounting:
             assert report.node_index[i] == -1
 
 
-class TestStepRecordInvariants:
+class TestStepInvariants:
     def test_emission_identity_and_clock(self):
         trace = CarbonIntensityTrace("v", 0, 600, (120.0, 450.0, 899.0, 40.0, 1300.0, 777.0))
         config = make_config("ident", trace, 3600, FIXED,
@@ -109,8 +109,10 @@ class TestStepRecordInvariants:
         for t in range(3600):
             ci_ws = trace.values[t // 600] / 3_600_000.0
             assert report.emission_g[t] == report.power_w[t] * ci_ws
-        records = list(report.records())
-        assert [r.t for r in records] == list(range(3600))
+        for column in (report.allowance_g, report.utilization, report.queued_demand,
+                       report.completions, report.drops, report.action, report.node_index):
+            assert len(column) == 3600
+        assert set(report.action) <= set(range(len(ACTION_NAMES)))
 
 
 class TestWorkloadIsolation:

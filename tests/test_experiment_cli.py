@@ -3,6 +3,7 @@ import textwrap
 import pytest
 
 from embudget.cli import main
+from embudget.engine import run_matrix
 from embudget.experiment import (
     ExperimentError,
     build_scenarios,
@@ -149,6 +150,25 @@ class TestBuildScenarios:
         assert validate(experiment) == []
         scenarios = build_scenarios(experiment)
         assert len(scenarios[0].tasks) == 2
+
+    @pytest.mark.xfail(strict=True, reason="replay scenarios share one mutable Task list, so "
+                       "a serial run hands later scenarios tasks an earlier one finished")
+    def test_replay_results_do_not_depend_on_workers(self, tmp_path):
+        tasks = [Task(i, i, 2.0, 5.0, i + 60.0) for i in range(300)]
+        (tmp_path / "tasks.csv").write_text(export_tasks_csv(tasks))
+        path = write_experiment(tmp_path, textwrap.dedent("""\
+            horizon_s: 600
+            workload: {replay: tasks.csv}
+            traces:
+              T1: {path: trace.csv}
+            policies:
+              unlimited: {}
+              fixed: {rate_g_per_s: 0.0166}
+        """))
+        experiment = load_experiment(path)
+        serial = run_matrix(build_scenarios(experiment), workers=1)
+        parallel = run_matrix(build_scenarios(experiment), workers=2)
+        assert [r.finished_tasks for r in serial] == [r.finished_tasks for r in parallel]
 
 
 class TestCli:

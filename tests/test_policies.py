@@ -3,146 +3,105 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embudget.budget import BudgetState
-from embudget.carbon import to_g_per_watt_second
-from embudget.cluster import (
-    LARGE,
-    MEDIUM,
-    SMALL,
-    MigrationTarget,
-    MigrationTargetSet,
-    Node,
-    node_power,
-    utilization_for_cu,
-    viable_targets,
-)
-from embudget.policies import (
-    ActionKind,
-    PolicyAction,
-    PolicyInput,
-    choose_option,
-    fixed_rate_policy,
-    greedy_budget_policy,
-    unlimited_policy,
-)
+from conftest import option_power
+from embudget.budget import EmissionsBudget
+from embudget.carbon import WS_PER_KWH
+from embudget.cluster import LARGE, MEDIUM, SMALL
+from embudget.engine import PolicySpec, ScenarioError
+from embudget.policies import choose_option
 
 EXACT_RATE = 10_080.0 / 604_800.0  # g/s
+SPECS = (SMALL, MEDIUM, LARGE)
+S, M, L = range(3)
 
 
-def make_input(current_spec, demand, ci_kwh, allowance=math.inf, budget_state=None,
-               target_specs=()):
-    current = Node(current_spec, hosted="app") if current_spec else None
-    targets = MigrationTargetSet(tuple(
-        MigrationTarget(Node(s), node_power(s, utilization_for_cu(s, demand)))
-        for s in target_specs
-    ))
-    return PolicyInput(
-        budget_state=budget_state,
-        allowance=allowance,
-        migration_targets=targets,
-        demand=demand,
-        current_node=current,
-        intensity_ws=to_g_per_watt_second(ci_kwh),
-    )
+def power_cap(allowance, ci_kwh):
+    """The cap run_scenario passes to choose_option: grams per second over g/Ws."""
+    ci_ws = ci_kwh / WS_PER_KWH
+    return allowance / ci_ws if ci_ws > 0.0 else math.inf
 
 
 class TestUnlimited:
     def test_operating_point(self):
-        action = unlimited_policy(make_input(MEDIUM, 54, 400, target_specs=(SMALL, LARGE)))
-        assert action.kind is ActionKind.SCALE
-        assert action.target_utilization == pytest.approx(0.54)
+        assert choose_option(SPECS, M, 54, math.inf) == (M, pytest.approx(0.54))
 
     def test_migrates_to_cheaper_idle(self):
-        action = unlimited_policy(make_input(MEDIUM, 0, 400, target_specs=(SMALL, LARGE)))
-        assert action.kind is ActionKind.MIGRATE
-        assert action.node == "small"
-        assert action.target_utilization == 0.0
+        assert choose_option(SPECS, M, 0, math.inf) == (S, 0.0)
 
     def test_no_viable_target_scales(self):
-        action = unlimited_policy(make_input(LARGE, 150, 400, target_specs=(SMALL, MEDIUM)))
-        assert action.kind is ActionKind.SCALE
-        assert action.target_utilization == pytest.approx(0.75)
+        assert choose_option(SPECS, L, 150, math.inf) == (L, pytest.approx(0.75))
 
     def test_never_suspends(self):
-        for demand in (0, 10, 500):
-            action = unlimited_policy(make_input(SMALL, demand, 5000, target_specs=(MEDIUM, LARGE)))
-            assert action.kind is not ActionKind.SUSPEND
+        for cur in (None, S, M, L):
+            for demand in (0, 10, 500):
+                idx, _ = choose_option(SPECS, cur, demand, math.inf)
+                assert idx is not None
 
 
 class TestFixedRate:
     def test_throttles_to_cap(self):
         # single-node cluster: cap 149.4 W on medium
-        action = fixed_rate_policy(make_input(MEDIUM, 100, 400), rate_limit=0.0166)
-        assert action.kind is ActionKind.SCALE
-        assert action.target_utilization == pytest.approx(0.1807, abs=1e-3)
-        served = action.target_utilization * MEDIUM.capacity
-        assert served == pytest.approx(18.07, abs=0.1)
+        cap = power_cap(0.0166, 400)
+        idx, u = choose_option((MEDIUM,), 0, 100, cap)
+        assert idx == 0
+        assert u == pytest.approx(0.1807, abs=1e-3)
+        assert u * MEDIUM.capacity == pytest.approx(18.07, abs=0.1)
 
     def test_falls_back_to_small_when_medium_idle_exceeds_limit(self):
-        inp = make_input(MEDIUM, 20, 1220, target_specs=(SMALL, LARGE))
         # medium idle emits 50 * 1220/3.6e6 = 16.94 mg/s > limit; small idle 8.47 mg/s fits
-        action = fixed_rate_policy(inp, rate_limit=EXACT_RATE)
-        assert action.kind is ActionKind.MIGRATE
-        assert action.node == "small"
+        idx, u = choose_option(SPECS, M, 20, power_cap(EXACT_RATE, 1220))
+        assert idx == S
+        assert 0.0 < u < 20 / SMALL.capacity
 
     def test_suspends_when_even_small_idle_does_not_fit(self):
-        inp = make_input(MEDIUM, 20, 2500, target_specs=(SMALL, LARGE))
-        action = fixed_rate_policy(inp, rate_limit=EXACT_RATE)
-        assert action.kind is ActionKind.SUSPEND
+        assert choose_option(SPECS, M, 20, power_cap(EXACT_RATE, 2500)) == (None, 0.0)
 
     def test_projected_emission_within_limit(self):
         for ci in (100, 400, 900, 1600):
-            inp = make_input(MEDIUM, 80, ci, target_specs=(SMALL, LARGE))
-            action = fixed_rate_policy(inp, rate_limit=EXACT_RATE)
-            if action.kind is ActionKind.SUSPEND:
+            idx, u = choose_option(SPECS, M, 80, power_cap(EXACT_RATE, ci))
+            if idx is None:
                 continue
-            spec = {"small": SMALL, "medium": MEDIUM, "large": LARGE}[
-                action.node or "medium"]
-            emission = node_power(spec, action.target_utilization) * inp.intensity_ws
+            emission = option_power(SPECS[idx], u) * (ci / WS_PER_KWH)
             assert emission <= EXACT_RATE + 1e-9
 
     def test_zero_intensity_unconstrained(self):
-        inp = make_input(MEDIUM, 54, 0, target_specs=(SMALL, LARGE))
-        action = fixed_rate_policy(inp, rate_limit=EXACT_RATE)
-        assert action == unlimited_policy(inp)
+        cap = power_cap(EXACT_RATE, 0)
+        assert cap == math.inf
+        assert choose_option(SPECS, M, 54, cap) == choose_option(SPECS, M, 54, math.inf)
 
 
 class TestGreedyBudget:
-    def state(self, remaining=10_080.0, surplus=0.0):
-        return BudgetState(remaining=remaining, elapsed=0.0, surplus=surplus,
-                           exhausted=remaining <= 0)
-
     def test_zero_surplus_degenerates_to_fixed(self):
+        budget = EmissionsBudget(total=10_080.0, horizon=604_800.0)
+        allowance = budget.greedy_allowance(0)
+        assert allowance == EXACT_RATE
         for ci in (200, 400, 1220, 2500):
-            inp = make_input(MEDIUM, 80, ci, allowance=EXACT_RATE,
-                             budget_state=self.state(), target_specs=(SMALL, LARGE))
-            assert greedy_budget_policy(inp) == fixed_rate_policy(inp, EXACT_RATE)
+            assert (choose_option(SPECS, M, 80, power_cap(allowance, ci))
+                    == choose_option(SPECS, M, 80, power_cap(EXACT_RATE, ci)))
 
     def test_surplus_burst_uses_large_node(self):
-        inp = make_input(LARGE, 200, 400, allowance=EXACT_RATE + 1.0,
-                         budget_state=self.state(surplus=1.0), target_specs=(SMALL, MEDIUM))
-        action = greedy_budget_policy(inp)
-        assert action.kind is ActionKind.SCALE
-        assert action.target_utilization == pytest.approx(1.0)
-        spend = node_power(LARGE, 1.0) * inp.intensity_ws
+        allowance = EXACT_RATE + 1.0
+        idx, u = choose_option(SPECS, L, 200, power_cap(allowance, 400))
+        assert (idx, u) == (L, pytest.approx(1.0))
+        spend = option_power(SPECS[idx], u) * (400 / WS_PER_KWH)
         assert spend == pytest.approx(0.1333, abs=1e-3)
-        assert spend <= inp.allowance
+        assert spend <= allowance
 
     def test_exhausted_budget_suspends(self):
-        inp = make_input(MEDIUM, 50, 400, allowance=0.0,
-                         budget_state=self.state(remaining=0.0), target_specs=(SMALL, LARGE))
-        assert greedy_budget_policy(inp).kind is ActionKind.SUSPEND
+        budget = EmissionsBudget(total=10_080.0, horizon=604_800.0)
+        budget.record_emission(10_080.0)
+        allowance = budget.greedy_allowance(0)
+        assert allowance == 0.0
+        assert choose_option(SPECS, M, 50, power_cap(allowance, 400)) == (None, 0.0)
 
     def test_requires_budget_state(self):
-        with pytest.raises(ValueError):
-            greedy_budget_policy(make_input(MEDIUM, 10, 400, allowance=1.0))
+        with pytest.raises(ScenarioError):
+            PolicySpec("greedy_budget")
 
 
 class TestChooseOption:
-    SPECS = (SMALL, MEDIUM, LARGE)
-
     def test_suspend_when_nothing_fits(self):
-        assert choose_option(self.SPECS, 1, 50.0, 10.0) == (None, 0.0)
+        assert choose_option(SPECS, 1, 50.0, 10.0) == (None, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -152,10 +111,10 @@ class TestChooseOption:
         st.integers(min_value=0, max_value=2),
     )
     def test_greedy_cap_dominates_fixed_cap(self, demand, cap_lo, extra, cur):
-        lo_idx, lo_u = choose_option(self.SPECS, cur, demand, cap_lo)
-        hi_idx, hi_u = choose_option(self.SPECS, cur, demand, cap_lo + extra)
-        lo_served = lo_u * self.SPECS[lo_idx].capacity if lo_idx is not None else 0.0
-        hi_served = hi_u * self.SPECS[hi_idx].capacity if hi_idx is not None else 0.0
+        lo_idx, lo_u = choose_option(SPECS, cur, demand, cap_lo)
+        hi_idx, hi_u = choose_option(SPECS, cur, demand, cap_lo + extra)
+        lo_served = lo_u * SPECS[lo_idx].capacity if lo_idx is not None else 0.0
+        hi_served = hi_u * SPECS[hi_idx].capacity if hi_idx is not None else 0.0
         assert hi_served >= lo_served - 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -165,8 +124,8 @@ class TestChooseOption:
         st.integers(min_value=0, max_value=2),
     )
     def test_deterministic(self, demand, cap, cur):
-        assert choose_option(self.SPECS, cur, demand, cap) == \
-               choose_option(self.SPECS, cur, demand, cap)
+        assert choose_option(SPECS, cur, demand, cap) == \
+               choose_option(SPECS, cur, demand, cap)
 
     def test_anti_thrash_keeps_current_for_tiny_saving(self):
         near_twin = SMALL.__class__("twin", SMALL.capacity, SMALL.idle_power - 0.1,
@@ -175,14 +134,15 @@ class TestChooseOption:
         assert idx == 0  # 0.1 W saving is below the hysteresis margin
 
 
-class TestPolicyActionInvariants:
+class TestChoiceInvariants:
     def test_migrate_targets_are_members(self):
-        inp = make_input(MEDIUM, 0, 400, target_specs=(SMALL, LARGE))
-        action = unlimited_policy(inp)
-        if action.kind is ActionKind.MIGRATE:
-            assert action.node in inp.migration_targets.names()
+        for cur in (None, S, M, L):
+            for demand in (0, 40, 250):
+                idx, _ = choose_option(SPECS, cur, demand, math.inf)
+                assert idx in range(len(SPECS))
 
     def test_scale_bounds(self):
         for demand in (0, 37, 250):
-            action = unlimited_policy(make_input(MEDIUM, demand, 400))
-            assert 0.0 <= action.target_utilization <= 1.0
+            for cap in (0.0, 60.0, 400.0, math.inf):
+                _, u = choose_option(SPECS, M, demand, cap)
+                assert 0.0 <= u <= 1.0
