@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="only run the named scenario (repeatable)")
     run_p.add_argument("--seed", type=int, default=None, help="workload seed override")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="scenario-level parallelism (results are order-stable)")
+                       help="scenario-level parallelism (replay experiments can give other "
+                            "results than with 1; see the known limitation in README.md)")
 
     val_p = sub.add_parser("validate", help="print diagnostics for an experiment file")
     val_p.add_argument("experiment", type=Path)
@@ -61,25 +62,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    diagnostics = validate(experiment)
     if args.command == "validate":
+        diagnostics = validate(experiment)
         for diag in diagnostics:
             print(diag)
         return 0 if not diagnostics else 1
-
-    if diagnostics:
-        for diag in diagnostics:
-            print(f"invalid: {diag}", file=sys.stderr)
-        return 2
 
     try:
         scenarios = build_scenarios(experiment, labels=args.scenario,
                                     seed_override=args.seed)
     except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not scenarios:
-        print("error: no scenarios selected", file=sys.stderr)
+        lines = [f"invalid: {p}" for p in exc.problems] or [f"error: {exc}"]
+        print("\n".join(lines), file=sys.stderr)
         return 2
 
     if args.dry_run:

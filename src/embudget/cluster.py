@@ -35,3 +35,14 @@ LARGE = NodeSpec("large", 200, 100.0, 1200.0)
 PRESETS: dict[str, tuple[NodeSpec, ...]] = {
     "default": (SMALL, MEDIUM, LARGE),
 }
+
+
+def cluster_problems(specs: tuple[NodeSpec, ...], initial_node: str) -> list[str]:
+    """Why the application cannot start on `initial_node` of `specs`; empty when it can."""
+    names = [s.name for s in specs]
+    problems = []
+    if len(set(names)) != len(names):
+        problems.append(f"duplicate node names in cluster {names}")
+    if initial_node not in names:
+        problems.append(f"initial node {initial_node!r} not in cluster {names}")
+    return problems

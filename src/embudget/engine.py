@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .budget import EmissionsBudget
 from .carbon import WS_PER_KWH, CarbonIntensityTrace
-from .cluster import PRESETS, NodeSpec
+from .cluster import PRESETS, NodeSpec, cluster_problems
 from .policies import choose_option
 from .workload import DiurnalTraceParams, Task, TaskQueue, generate_diurnal_trace
 
@@ -59,11 +59,8 @@ class ScenarioConfig:
             problems.append(
                 f"{self.label}: horizon {self.horizon}s exceeds trace span {self.trace.span}s"
             )
-        names = [s.name for s in self.cluster]
-        if len(set(names)) != len(names):
-            problems.append(f"{self.label}: duplicate node names in cluster")
-        if self.initial_node not in names:
-            problems.append(f"{self.label}: initial node {self.initial_node!r} not in cluster")
+        problems += [f"{self.label}: {problem}"
+                     for problem in cluster_problems(self.cluster, self.initial_node)]
         if self.tasks is None and self.workload is None:
             problems.append(f"{self.label}: needs either a workload or a replay task list")
         return problems
@@ -121,12 +118,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     cur_idx: int | None = names.index(config.initial_node)
 
     policy = config.policy
-    kind = policy.kind
     horizon = config.horizon
     budget = None
-    if kind == "greedy_budget":
+    if policy.kind == "greedy_budget":
         budget = EmissionsBudget(policy.budget_total_g, float(horizon))
-    rate = policy.rate_g_per_s if kind == "fixed" else None
+    # Each policy is a per-second allowance in grams; the budget's changes every step.
+    fixed_allowance = policy.rate_g_per_s if policy.kind == "fixed" else math.inf
 
     trace_values = config.trace.values
     trace_step = config.trace.step
@@ -151,13 +148,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     ai = 0
     batch: list[Task] = []
     ci_ws = 0.0
-    fixed_cap = inf
 
     for t in range(horizon):
         if t % trace_step == 0:
             ci_ws = trace_values[t // trace_step] / WS_PER_KWH
-            if rate is not None:
-                fixed_cap = rate / ci_ws if ci_ws > 0.0 else inf
 
         dropped = drop(t)
         while ai < ntasks and tasks[ai].arrival <= t:
@@ -168,16 +162,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             batch.clear()
 
         demand = queue.pending_demand
-        if kind == "unlimited":
-            allowance = inf
-            cap = inf
-        elif kind == "fixed":
-            allowance = rate
-            cap = fixed_cap
-        else:
-            allowance = budget.greedy_allowance(t)
-            cap = allowance / ci_ws if ci_ws > 0.0 else inf
-
+        allowance = budget.greedy_allowance(t) if budget is not None else fixed_allowance
+        cap = allowance / ci_ws if ci_ws > 0.0 else inf
         idx, planned_u = choose_option(specs, cur_idx, demand, cap)
 
         if idx is None:

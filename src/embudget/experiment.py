@@ -14,7 +14,7 @@ from .carbon import (
     _parse_timestamp,
     parse_trace,
 )
-from .cluster import PRESETS, NodeSpec
+from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
 from .workload import DiurnalTraceParams, Task, WorkloadError, import_tasks_csv
 
@@ -27,7 +27,11 @@ _POLICY_ALIASES = {
 
 
 class ExperimentError(ValueError):
-    pass
+    """An experiment file that cannot run; `problems` lists each reason validation found."""
+
+    def __init__(self, message: str, problems: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.problems = problems or []
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,14 @@ def load_experiment(path: str | Path) -> Experiment:
     if not isinstance(raw, dict):
         raise ExperimentError(f"{path}: top level must be a mapping")
 
+    try:
+        return _parse(raw, path)
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        # Malformed values raise from the parsing or from the domain constructors.
+        raise ExperimentError(f"{path}: {exc}") from exc
+
+
+def _parse(raw: dict, path: Path) -> Experiment:
     base = path.parent
 
     cluster_cfg = raw.get("cluster", {}) or {}
@@ -174,13 +186,12 @@ def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
             end = start + int(ref.days * 86400)
         else:
             end = trace.end_epoch
-        trace = trace.slice_window(start, end)
-        return CarbonIntensityTrace(ref.label, trace.start_epoch, trace.step, trace.values)
+        return trace.slice_window(start, end)
     return trace
 
 
-def validate(experiment: Experiment) -> list[str]:
-    """All the reasons a run would not start; empty list means it would."""
+def _check(experiment: Experiment) -> tuple[list[str], dict[str, CarbonIntensityTrace]]:
+    """Load every trace once; return all the reasons a run would not start, and the traces."""
     diags: list[str] = []
     if not experiment.traces:
         diags.append("no traces declared")
@@ -192,18 +203,11 @@ def validate(experiment: Experiment) -> list[str]:
         diags.append(f"replay file {experiment.replay_path} does not exist")
     if any(p <= 0 for p in experiment.prices):
         diags.append("carbon prices must be positive")
-    names = [s.name for s in experiment.cluster]
-    if experiment.initial_node not in names:
-        diags.append(f"initial node {experiment.initial_node!r} not in cluster {names}")
-    for _, spec in experiment.policies:
-        if spec.kind == "greedy_budget" and (spec.budget_total_g or 0) <= 0:
-            diags.append("budget total must be positive")
+    diags += cluster_problems(experiment.cluster, experiment.initial_node)
+    loaded = {}
     for ref in experiment.traces:
-        if not ref.path.exists():
-            diags.append(f"trace {ref.label}: file {ref.path} does not exist")
-            continue
         try:
-            trace = load_trace(ref)
+            trace = loaded[ref.label] = load_trace(ref)
         except (TraceError, OSError) as exc:
             diags.append(f"trace {ref.label}: {exc}")
             continue
@@ -214,12 +218,20 @@ def validate(experiment: Experiment) -> list[str]:
             diags.append(
                 f"trace {ref.label}: horizon {horizon}s exceeds window span {trace.span}s"
             )
-    return diags
+    return diags, loaded
+
+
+def validate(experiment: Experiment) -> list[str]:
+    """All the reasons a run would not start; empty list means it would."""
+    return _check(experiment)[0]
 
 
 def build_scenarios(experiment: Experiment, labels: list[str] | None = None,
                     seed_override: int | None = None) -> list[ScenarioConfig]:
-    """Expand the policy x trace grid into concrete scenario configs."""
+    """Expand the policy x trace grid; raise ExperimentError listing every `validate` problem."""
+    problems, loaded = _check(experiment)
+    if problems:
+        raise ExperimentError("; ".join(problems), problems)
     replay_tasks: list[Task] | None = None
     if experiment.replay_path is not None:
         try:
@@ -227,7 +239,6 @@ def build_scenarios(experiment: Experiment, labels: list[str] | None = None,
         except (OSError, WorkloadError) as exc:
             raise ExperimentError(f"replay {experiment.replay_path}: {exc}") from exc
 
-    loaded = {ref.label: load_trace(ref) for ref in experiment.traces}
     scenarios = []
     for policy_name, policy_spec in experiment.policies:
         for ref in experiment.traces:

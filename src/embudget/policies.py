@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .cluster import NodeSpec
@@ -30,14 +29,11 @@ def choose_option(specs: Sequence[NodeSpec], current_index: int | None,
     for i, spec in enumerate(specs):
         idle = spec.idle_power
         span = spec.peak_power - idle
-        if power_cap == math.inf:
-            u_cap = 1.0
-        elif power_cap < idle:
+        if power_cap < idle:
             continue
-        else:
-            u_cap = (power_cap - idle) / span
-            if u_cap > 1.0:
-                u_cap = 1.0
+        u_cap = (power_cap - idle) / span
+        if u_cap > 1.0:
+            u_cap = 1.0
         u = demand / spec.capacity
         if u > 1.0:
             u = 1.0

@@ -66,6 +66,14 @@ class DiurnalTraceParams:
             raise WorkloadError("peak times must lie within one day")
         if self.peak_width <= 0:
             raise WorkloadError("peak width must be positive")
+        # Every generated task must be a valid Task: positive demand and runtime,
+        # deadline after arrival.
+        if self.task_cu <= 0 or self.task_runtime <= 0:
+            raise WorkloadError("task CU and runtime must be positive")
+        if self.deadline_slack < 0:
+            raise WorkloadError("deadline slack must be >= 0")
+        if not (0 <= self.cu_jitter < 1 and 0 <= self.runtime_jitter < 1):
+            raise WorkloadError("cu and runtime jitter must lie in [0, 1)")
 
     def rate_at(self, t: float) -> float:
         """Arrival rate lambda(t) in tasks/second."""

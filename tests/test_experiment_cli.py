@@ -1,7 +1,9 @@
 import textwrap
 
 import pytest
+import yaml
 
+import embudget.experiment
 from embudget.cli import main
 from embudget.engine import run_matrix
 from embudget.experiment import (
@@ -54,6 +56,49 @@ def small_experiment(tmp_path, horizon=600, trace_path="trace.csv"):
     """))
 
 
+def experiment_with(tmp_path, key, value):
+    """small_experiment with the value at dotted `key` replaced."""
+    path = small_experiment(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    *parents, last = key.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+# Values that a domain constructor or a conversion in load_experiment rejects.
+MALFORMED = {
+    "budget_total_zero": ("policies.budget.total_g", 0),
+    "fixed_rate_negative": ("policies.fixed.rate_g_per_s", -1),
+    "peak_width_zero": ("workload.peak_width_s", 0),
+    "node_capacity_zero": (
+        "cluster", {"nodes": [{"name": "medium", "capacity": 0, "idle_w": 1, "peak_w": 2}]}),
+    "trace_start_not_a_date": ("traces.T1.start", "notadate"),
+    "seed_not_a_number": ("workload.seed", "x"),
+    "horizon_not_a_number": ("horizon_s", "abc"),
+    "horizon_infinite": ("horizon_s", float("inf")),
+    "prices_not_a_list": ("prices", 5),
+    "peak_amplitudes_not_a_list": ("workload.peak_amplitudes", 5),
+    "policies_a_list": ("policies", ["a", "b"]),
+    "cluster_a_list": ("cluster", [1, 2]),
+    "trace_entry_a_string": ("traces", {"T1": "x"}),
+}
+
+# Values that, unchecked, would fail only once the run has started.
+NOT_RUNNABLE = {
+    "duplicate_node_names": (
+        "cluster", {"nodes": [{"name": "a", "capacity": 10, "idle_w": 1, "peak_w": 2},
+                              {"name": "a", "capacity": 20, "idle_w": 1, "peak_w": 2}],
+                    "initial": "a"}, "duplicate node names"),
+    "task_cu_zero": ("workload.task_cu", 0, "task CU and runtime"),
+    "task_runtime_zero": ("workload.task_runtime_s", 0, "task CU and runtime"),
+    "cu_jitter_above_one": ("workload.cu_jitter", 1.5, "jitter"),
+}
+
+
 class TestLoadExperiment:
     def test_bundled_grid_is_clean(self):
         experiment = load_experiment(paper_grid_path())
@@ -83,6 +128,17 @@ class TestLoadExperiment:
         path = write_experiment(tmp_path, "workload:\n  base_rate: 1.0\n")
         with pytest.raises(ExperimentError, match="peak_amplitudes"):
             load_experiment(path)
+
+    @pytest.mark.parametrize("key, value", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, key, value):
+        path = experiment_with(tmp_path, key, value)
+        with pytest.raises(ExperimentError, match="exp.yaml"):
+            load_experiment(path)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "exp.yaml" in err[0]
+        assert not (tmp_path / "results").exists()
 
 
 class TestValidate:
@@ -151,6 +207,18 @@ class TestBuildScenarios:
         scenarios = build_scenarios(experiment)
         assert len(scenarios[0].tasks) == 2
 
+    def test_reports_every_problem_at_once(self, tmp_path):
+        path = experiment_with(tmp_path, "traces", {"GONE": {"path": "gone.csv"},
+                                                    "SHORT": {"path": "short.csv"}})
+        (tmp_path / "short.csv").write_text(
+            "timestamp,intensity\n2024-01-01T00:00:00Z,120\n2024-01-01T00:01:00Z,130\n")
+        with pytest.raises(ExperimentError) as info:
+            build_scenarios(load_experiment(path))
+        message = str(info.value)
+        assert len(info.value.problems) == 2
+        assert "GONE" in message and "gone.csv" in message
+        assert "SHORT" in message and "horizon 600s exceeds window span 120s" in message
+
     @pytest.mark.xfail(strict=True, reason="replay scenarios share one mutable Task list, so "
                        "a serial run hands later scenarios tasks an earlier one finished")
     def test_replay_results_do_not_depend_on_workers(self, tmp_path):
@@ -214,6 +282,34 @@ class TestCli:
         path = small_experiment(tmp_path, horizon=999_999)
         assert main(["run", str(path)]) == 2
         assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, problem", NOT_RUNNABLE.values(),
+                             ids=NOT_RUNNABLE.keys())
+    def test_not_runnable_refused_before_writing(self, tmp_path, capsys, key, value, problem):
+        path = experiment_with(tmp_path, key, value)
+        assert main(["validate", str(path)]) != 0
+        captured = capsys.readouterr()
+        assert problem in captured.out + captured.err
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_run_parses_each_trace_once(self, tmp_path, monkeypatch):
+        path = small_experiment(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw["traces"]["T2"] = {"path": "trace.csv"}
+        path.write_text(yaml.safe_dump(raw))
+        parse_trace = embudget.experiment.parse_trace
+        calls = []
+
+        def counting_parse_trace(*args, **kwargs):
+            calls.append(kwargs.get("zone_label"))
+            return parse_trace(*args, **kwargs)
+
+        monkeypatch.setattr(embudget.experiment, "parse_trace", counting_parse_trace)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(calls) == ["T1", "T2"]
 
     def test_scenario_filter(self, tmp_path):
         path = small_experiment(tmp_path)

@@ -6,13 +6,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import option_power
 from embudget.budget import EmissionsBudget
 from embudget.carbon import WS_PER_KWH
-from embudget.cluster import LARGE, MEDIUM, SMALL
+from embudget.cluster import LARGE, MEDIUM, SMALL, NodeSpec
 from embudget.engine import PolicySpec, ScenarioError
 from embudget.policies import choose_option
 
 EXACT_RATE = 10_080.0 / 604_800.0  # g/s
 SPECS = (SMALL, MEDIUM, LARGE)
 S, M, L = range(3)
+
+node_specs = st.builds(
+    NodeSpec,
+    name=st.sampled_from(["a", "b", "c", "d"]),
+    capacity=st.integers(min_value=1, max_value=500),
+    idle_power=st.floats(min_value=0, max_value=200),
+    peak_power=st.floats(min_value=201, max_value=2000),
+)
 
 
 def power_cap(allowance, ci_kwh):
@@ -126,6 +134,17 @@ class TestChooseOption:
     def test_deterministic(self, demand, cap, cur):
         assert choose_option(SPECS, cur, demand, cap) == \
                choose_option(SPECS, cur, demand, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(node_specs, min_size=1, max_size=4), st.floats(min_value=0, max_value=3000),
+           st.data())
+    def test_infinite_cap_same_as_highest_peak(self, cluster, demand, data):
+        # An unlimited allowance reaches choose_option as an infinite cap; the
+        # general u_cap formula, clamped to 1, must treat it as no limit at all.
+        cur = data.draw(st.none() | st.integers(min_value=0, max_value=len(cluster) - 1))
+        peak = max(spec.peak_power for spec in cluster)
+        assert choose_option(cluster, cur, demand, math.inf) == \
+               choose_option(cluster, cur, demand, peak)
 
     def test_anti_thrash_keeps_current_for_tiny_saving(self):
         near_twin = SMALL.__class__("twin", SMALL.capacity, SMALL.idle_power - 0.1,

@@ -56,6 +56,14 @@ class TestGenerator:
         assert [t.arrival for t in a] == [t.arrival for t in b]
         assert [t.cu_demand for t in a] != [t.cu_demand for t in b]
 
+    @pytest.mark.parametrize("bad", [
+        {"cu": 0.0}, {"runtime": 0.0}, {"slack": -1.0},
+        {"cu_jitter": 1.5}, {"cu_jitter": -0.1}, {"runtime_jitter": 1.0},
+    ])
+    def test_params_that_would_make_invalid_tasks_rejected(self, bad):
+        with pytest.raises(WorkloadError):
+            params(**bad)
+
     def test_rate_is_circular_across_midnight(self):
         p = params(base=0.0, amps=(1.0, 0.0), times=(0.0, 0.0), width=3600.0)
         assert p.rate_at(86400 - 1800) == pytest.approx(p.rate_at(1800))
