@@ -30,8 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="only run the named scenario (repeatable)")
     run_p.add_argument("--seed", type=int, default=None, help="workload seed override")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="scenario-level parallelism (replay experiments can give other "
-                            "results than with 1; see the known limitation in README.md)")
+                       help="scenario-level parallelism (results are order-stable)")
 
     val_p = sub.add_parser("validate", help="print diagnostics for an experiment file")
     val_p.add_argument("experiment", type=Path)

@@ -9,7 +9,7 @@ class ClusterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
     """Hardware profile: capacity in CU and the idle/peak endpoints of the power curve."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import EmissionsBudget
 from .carbon import WS_PER_KWH, CarbonIntensityTrace
@@ -49,7 +49,9 @@ class ScenarioConfig:
     initial_node: str = "medium"
     workload: DiurnalTraceParams | None = None
     seed: int = 0
-    tasks: list[Task] | None = None  # replay trace; overrides workload generation
+    # Task list to run, replayed or generated; read-only, so scenarios may share one.
+    # None: run_scenario generates it from `workload`.
+    tasks: list[Task] | None = None
 
     def validate(self) -> list[str]:
         problems = []
@@ -133,15 +135,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     allocate = queue.step_allocation
     drop = queue.drop_expired
 
-    power_col = array("d")
-    emission_col = array("d")
-    allowance_col = array("d")
-    util_col = array("d")
-    demand_col = array("d")
-    completions_col = array("l")
-    drops_col = array("l")
-    action_col = array("b")
-    node_col = array("b")
+    # Columns start zeroed (action _SCALE); each step writes only the entries it changes.
+    power_col = array("d", [0.0]) * horizon
+    emission_col = array("d", [0.0]) * horizon
+    allowance_col = array("d", [0.0]) * horizon
+    util_col = array("d", [0.0]) * horizon
+    demand_col = array("d", [0.0]) * horizon
+    completions_col = array("l", [0]) * horizon
+    drops_col = array("l", [0]) * horizon
+    action_col = array("b", [0]) * horizon
+    node_col = array("b", [0]) * horizon
 
     inf = math.inf
     ntasks = len(tasks)
@@ -168,15 +171,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 
         if idx is None:
             cur_idx = None
-            power = 0.0
-            emission = 0.0
-            util = 0.0
-            completions = 0
-            action = _SUSPEND
-            node_code = -1
+            action_col[t] = _SUSPEND
+            node_col[t] = -1
         else:
-            action = _SCALE if idx == cur_idx else _MIGRATE
-            cur_idx = idx
+            if idx != cur_idx:
+                action_col[t] = _MIGRATE
+                cur_idx = idx
             spec = specs[idx]
             capacity = spec.capacity
             used, completions = allocate(planned_u * capacity, t)
@@ -185,17 +185,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             emission = power * ci_ws
             if budget is not None:
                 budget.record_emission(emission)
-            node_code = idx
+            power_col[t] = power
+            emission_col[t] = emission
+            util_col[t] = util
+            completions_col[t] = completions
+            node_col[t] = idx
 
-        power_col.append(power)
-        emission_col.append(emission)
-        allowance_col.append(allowance)
-        util_col.append(util)
-        demand_col.append(demand)
-        completions_col.append(completions)
-        drops_col.append(dropped)
-        action_col.append(action)
-        node_col.append(node_code)
+        allowance_col[t] = allowance
+        demand_col[t] = demand
+        if dropped:
+            drops_col[t] = dropped
 
     return SimulationReport(
         label=config.label,
@@ -223,13 +222,36 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 
 
 def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[SimulationReport]:
-    """Run scenarios independently; output order matches input order."""
+    """Run scenarios independently; output order matches input order.
+
+    Each distinct generated workload (parameters, horizon, seed) is generated
+    once and its task list handed to every scenario that uses it.
+    """
     if not configs:
         raise ScenarioError("scenario matrix is empty")
+    configs = _with_generated_tasks(configs)
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_labelled, configs))
     return [_run_labelled(c) for c in configs]
+
+
+def _with_generated_tasks(configs: list[ScenarioConfig]) -> list[ScenarioConfig]:
+    """Copies of `configs` in which every generated workload is already a task list."""
+    generated: dict[tuple[DiurnalTraceParams, int, int], list[Task]] = {}
+    out = []
+    for config in configs:
+        # An invalid config is left for run_scenario to refuse, ungenerated.
+        if config.tasks is None and config.workload is not None and not config.validate():
+            key = (config.workload, config.horizon, config.seed)
+            if key not in generated:
+                try:
+                    generated[key] = generate_diurnal_trace(*key)
+                except Exception as exc:
+                    raise ScenarioError(f"scenario {config.label!r} failed: {exc}") from exc
+            config = replace(config, tasks=generated[key])
+        out.append(config)
+    return out
 
 
 def _run_labelled(config: ScenarioConfig) -> SimulationReport:

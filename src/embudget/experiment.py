@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,13 @@ from .carbon import (
 )
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
-from .workload import DiurnalTraceParams, Task, WorkloadError, import_tasks_csv
+from .workload import (
+    DiurnalTraceParams,
+    Task,
+    WorkloadError,
+    import_tasks_csv,
+    task_csv_positions,
+)
 
 _POLICY_ALIASES = {
     "unlimited": "unlimited",
@@ -190,6 +197,16 @@ def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
     return trace
 
 
+def _replay_header_problems(path: Path) -> list[str]:
+    """Check the replay file's header line only; build_scenarios imports the rows."""
+    try:
+        with path.open(newline="") as f:
+            task_csv_positions(next(csv.reader(f), []))
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: WorkloadError or bad encoding
+        return [f"replay {path}: {exc}"]
+    return []
+
+
 def _check(experiment: Experiment) -> tuple[list[str], dict[str, CarbonIntensityTrace]]:
     """Load every trace once; return all the reasons a run would not start, and the traces."""
     diags: list[str] = []
@@ -199,8 +216,8 @@ def _check(experiment: Experiment) -> tuple[list[str], dict[str, CarbonIntensity
         diags.append("no policies declared")
     if experiment.workload is None and experiment.replay_path is None:
         diags.append("no workload or replay declared")
-    if experiment.replay_path is not None and not experiment.replay_path.exists():
-        diags.append(f"replay file {experiment.replay_path} does not exist")
+    if experiment.replay_path is not None:
+        diags += _replay_header_problems(experiment.replay_path)
     if any(p <= 0 for p in experiment.prices):
         diags.append("carbon prices must be positive")
     diags += cluster_problems(experiment.cluster, experiment.initial_node)

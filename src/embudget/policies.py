@@ -24,38 +24,44 @@ def choose_option(specs: Sequence[NodeSpec], current_index: int | None,
     hysteresis margin. Returns (index, utilization), or (None, 0.0) when not
     even idle power fits under the cap anywhere (suspend).
     """
-    best = None  # (index, u, served, power, capacity, name)
-    current = None
+    best = -1
+    best_u = best_served = best_power = 0.0
+    best_capacity = 0
+    best_name = ""
+    current_fits = False
+    current_u = current_served = current_power = 0.0
     for i, spec in enumerate(specs):
         idle = spec.idle_power
-        span = spec.peak_power - idle
         if power_cap < idle:
             continue
+        span = spec.peak_power - idle
         u_cap = (power_cap - idle) / span
         if u_cap > 1.0:
             u_cap = 1.0
-        u = demand / spec.capacity
+        capacity = spec.capacity
+        u = demand / capacity
         if u > 1.0:
             u = 1.0
         if u > u_cap:
             u = u_cap
-        served = u * spec.capacity
+        served = u * capacity
         power = idle + span * u
-        entry = (i, u, served, power, spec.capacity, spec.name)
         if i == current_index:
-            current = entry
-        if best is None:
-            best = entry
-            continue
-        if (served > best[2] + _SERVED_EPS
-                or (served >= best[2] - _SERVED_EPS
-                    and (power, spec.capacity, spec.name) < (best[3], best[4], best[5]))):
-            best = entry
-    if best is None:
+            current_fits = True
+            current_u, current_served, current_power = u, served, power
+        if best >= 0 and served <= best_served + _SERVED_EPS:
+            # Within the served tie band: lower power wins, then (capacity, name).
+            if served < best_served - _SERVED_EPS or power > best_power:
+                continue
+            if power == best_power and (capacity, spec.name) >= (best_capacity, best_name):
+                continue
+        best, best_u, best_served, best_power = i, u, served, power
+        best_capacity, best_name = capacity, spec.name
+    if best < 0:
         return None, 0.0
-    if current is not None and best[0] != current[0]:
-        gain = best[2] - current[2]
-        saving = current[3] - best[3]
-        if gain <= _SERVED_EPS and saving <= MIGRATION_SAVING_FRACTION * current[3]:
-            return current[0], current[1]
-    return best[0], best[1]
+    if current_fits and best != current_index:
+        gain = best_served - current_served
+        saving = current_power - best_power
+        if gain <= _SERVED_EPS and saving <= MIGRATION_SAVING_FRACTION * current_power:
+            return current_index, current_u
+    return best, best_u

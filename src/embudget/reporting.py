@@ -112,23 +112,13 @@ def summary_csv(rows: Sequence[SummaryRow]) -> str:
 
 def steps_csv(report: SimulationReport) -> str:
     """Per-step CSV of a single scenario (one row per simulation second)."""
+    # Node code -1 (suspended) indexes the trailing empty name.
+    node_names = report.node_names + ("",)
+    rows = zip(range(report.horizon), map(ACTION_NAMES.__getitem__, report.action),
+               map(node_names.__getitem__, report.node_index), report.power_w,
+               report.emission_g, report.allowance_g, report.completions, report.drops)
     lines = ["t,action,node,power_w,emission_g,allowance_g,completions,drops"]
-    action_names = ACTION_NAMES
-    node_names = report.node_names
-    power = report.power_w
-    emission = report.emission_g
-    allowance = report.allowance_g
-    completions = report.completions
-    drops = report.drops
-    action = report.action
-    node_idx = report.node_index
-    for t in range(report.horizon):
-        idx = node_idx[t]
-        lines.append(
-            f"{t},{action_names[action[t]]},{node_names[idx] if idx >= 0 else ''},"
-            f"{power[t]:.6f},{emission[t]:.9g},{allowance[t]:.9g},"
-            f"{completions[t]},{drops[t]}"
-        )
+    lines += ["%d,%s,%s,%.6f,%.9g,%.9g,%d,%d" % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -10,13 +10,12 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-PENDING = 0
-FINISHED = 1
-DROPPED = 2
-
 _COMPLETION_EPS = 1e-9
 
 SECONDS_PER_DAY = 86400
+
+# Header of a task CSV, in the order export_tasks_csv writes it.
+TASK_CSV_COLUMNS = ("id", "arrival", "cu", "runtime", "deadline")
 
 
 class WorkloadError(ValueError):
@@ -25,7 +24,11 @@ class WorkloadError(ValueError):
 
 @dataclass(slots=True)
 class Task:
-    """Unit of work needing cu_demand CU for nominal_runtime seconds before its deadline."""
+    """Unit of work needing cu_demand CU for nominal_runtime seconds before its deadline.
+
+    Read-only once made: a TaskQueue keeps each task's progress in its own entry,
+    so one task list can feed any number of scenarios.
+    """
 
     id: int
     arrival: int
@@ -33,8 +36,6 @@ class Task:
     nominal_runtime: float
     deadline: float
     total_work: float = 0.0  # CU-seconds, fixed at creation
-    work_done: float = 0.0
-    state: int = PENDING
 
     def __post_init__(self) -> None:
         if self.cu_demand <= 0 or self.nominal_runtime <= 0:
@@ -124,11 +125,18 @@ def generate_diurnal_trace(params: DiurnalTraceParams, horizon: int, seed: int) 
 
 
 class TaskQueue:
-    """FIFO queue with accumulated-work progress and deadline-based drops."""
+    """FIFO queue with accumulated-work progress and deadline-based drops.
+
+    The queue keeps each admitted task's progress in its own entry,
+    [work_done, live, cu_demand, total_work], and never writes to the Task,
+    so scenarios can share one task list. The FIFO deque and the
+    deadline heap hold the same entries; `live` is False once the task has
+    finished or been dropped.
+    """
 
     def __init__(self) -> None:
-        self._pending: deque[Task] = deque()
-        self._deadline_heap: list[tuple[float, int, Task]] = []
+        self._pending: deque[list] = deque()
+        self._deadline_heap: list[tuple[float, int, list]] = []
         self._seen_ids: set[int] = set()
         self._last_arrival = -math.inf
         self.pending_count = 0
@@ -140,8 +148,9 @@ class TaskQueue:
     def __len__(self) -> int:
         return self.pending_count
 
-    def pending_tasks(self) -> list[Task]:
-        return [t for t in self._pending if t.state == PENDING]
+    def progress(self) -> dict[int, float]:
+        """Work done (CU-seconds) per task id, for every task whose deadline has not been passed."""
+        return {task_id: entry[0] for _, task_id, entry in self._deadline_heap}
 
     def admit(self, tasks: list[Task]) -> None:
         """Append arrivals in order; arrivals must be sorted and ids unique."""
@@ -152,10 +161,12 @@ class TaskQueue:
                 raise WorkloadError(f"duplicate task id {task.id}")
             self._seen_ids.add(task.id)
             self._last_arrival = task.arrival
-            self._pending.append(task)
-            heapq.heappush(self._deadline_heap, (task.deadline, task.id, task))
+            cu = task.cu_demand
+            entry = [0.0, True, cu, task.total_work]
+            self._pending.append(entry)
+            heapq.heappush(self._deadline_heap, (task.deadline, task.id, entry))
             self.pending_count += 1
-            self.pending_demand += task.cu_demand
+            self.pending_demand += cu
             self.admitted_count += 1
 
     def step_allocation(self, available_cu: float, now: float) -> tuple[float, int]:
@@ -168,32 +179,37 @@ class TaskQueue:
         used = 0.0
         completions = 0
         remaining = available_cu
-        for task in self._pending:
+        demand = self.pending_demand
+        for entry in self._pending:
             if remaining <= 1e-12:
                 break
-            if task.state != PENDING:
+            if not entry[1]:
                 continue
-            grant = task.cu_demand
+            grant = cu = entry[2]
             if grant > remaining:
                 grant = remaining
-            need = task.total_work - task.work_done
+            total = entry[3]
+            done = entry[0]
+            need = total - done
             if grant > need:
                 grant = need
-            task.work_done += grant
+            done += grant
             used += grant
             remaining -= grant
-            if task.total_work - task.work_done <= _COMPLETION_EPS:
-                task.work_done = task.total_work
-                task.state = FINISHED
+            if total - done <= _COMPLETION_EPS:
+                entry[0] = total
+                entry[1] = False
                 completions += 1
-                self.finished_count += 1
-                self.pending_count -= 1
-                self.pending_demand -= task.cu_demand
-        pending = self._pending
-        while pending and pending[0].state != PENDING:
-            pending.popleft()
-        if self.pending_count == 0:
-            self.pending_demand = 0.0
+                demand -= cu
+            else:
+                entry[0] = done
+        if completions:
+            self.finished_count += completions
+            self.pending_count -= completions
+            self.pending_demand = demand if self.pending_count else 0.0
+            pending = self._pending
+            while pending and not pending[0][1]:
+                pending.popleft()
         return used, completions
 
     def drop_expired(self, now: float) -> int:
@@ -201,20 +217,20 @@ class TaskQueue:
         dropped = 0
         heap = self._deadline_heap
         while heap and heap[0][0] < now:
-            _, _, task = heapq.heappop(heap)
-            if task.state != PENDING:
+            entry = heapq.heappop(heap)[2]
+            if not entry[1]:
                 continue
-            task.state = DROPPED
+            entry[1] = False
             dropped += 1
-            self.dropped_count += 1
-            self.pending_count -= 1
-            self.pending_demand -= task.cu_demand
+            self.pending_demand -= entry[2]
         if dropped:
-            pending = self._pending
-            while pending and pending[0].state != PENDING:
-                pending.popleft()
+            self.dropped_count += dropped
+            self.pending_count -= dropped
             if self.pending_count == 0:
                 self.pending_demand = 0.0
+            pending = self._pending
+            while pending and not pending[0][1]:
+                pending.popleft()
         return dropped
 
 
@@ -222,25 +238,35 @@ def export_tasks_csv(tasks: list[Task]) -> str:
     """Serialize a task trace so identical workloads can be replayed elsewhere."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["id", "arrival", "cu", "runtime", "deadline"])
+    writer.writerow(TASK_CSV_COLUMNS)
     for t in tasks:
         writer.writerow([t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline])
     return out.getvalue()
 
 
+def task_csv_positions(header: list[str]) -> list[int]:
+    """Position of each TASK_CSV_COLUMNS name in a task CSV header row."""
+    missing = [name for name in TASK_CSV_COLUMNS if name not in header]
+    if missing:
+        raise WorkloadError(f"task CSV needs columns {list(TASK_CSV_COLUMNS)}, missing {missing}")
+    return [header.index(name) for name in TASK_CSV_COLUMNS]
+
+
 def import_tasks_csv(csv_text: str) -> list[Task]:
-    reader = csv.DictReader(io.StringIO(csv_text))
-    required = {"id", "arrival", "cu", "runtime", "deadline"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise WorkloadError(f"task CSV needs columns {sorted(required)}")
+    """Tasks of a task CSV, sorted by (arrival, id); WorkloadError names a malformed line."""
+    reader = csv.reader(io.StringIO(csv_text))
+    i_id, i_arrival, i_cu, i_runtime, i_deadline = task_csv_positions(next(reader, []))
     tasks = []
-    for row in reader:
-        tasks.append(Task(
-            id=int(row["id"]),
-            arrival=int(float(row["arrival"])),
-            cu_demand=float(row["cu"]),
-            nominal_runtime=float(row["runtime"]),
-            deadline=float(row["deadline"]),
-        ))
+    append = tasks.append
+    try:
+        for row in reader:
+            if not row:
+                continue
+            append(Task(int(row[i_id]), int(float(row[i_arrival])), float(row[i_cu]),
+                        float(row[i_runtime]), float(row[i_deadline])))
+    except IndexError:
+        raise WorkloadError(f"line {reader.line_num}: too few fields") from None
+    except (ValueError, OverflowError, csv.Error) as exc:
+        raise WorkloadError(f"line {reader.line_num}: {exc}") from exc
     tasks.sort(key=lambda t: (t.arrival, t.id))
     return tasks

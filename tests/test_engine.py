@@ -1,6 +1,9 @@
+import copy
 import math
 
 import pytest
+
+import embudget.engine
 
 from conftest import constant_trace, make_config, simple_workload
 from embudget.carbon import CarbonIntensityTrace
@@ -122,6 +125,34 @@ class TestWorkloadIsolation:
         a = generate_diurnal_trace(workload, 7200, 9)
         b = generate_diurnal_trace(workload, 7200, 9)
         assert a == b
+
+
+class TestSharedTasks:
+    def test_one_task_list_serves_many_runs(self):
+        tasks = [Task(i, i // 3, 4.0, 6.0, i // 3 + 20.0) for i in range(900)]
+        fresh = copy.deepcopy(tasks)
+        config = make_config("shared", constant_trace(300.0), 400, FIXED, tasks=tasks)
+        first = run_scenario(config)
+        assert first.finished_tasks > 0 and first.dropped_tasks > 0
+        assert run_scenario(config) == first
+        assert tasks == fresh
+
+    def test_run_matrix_generates_each_workload_once(self, monkeypatch):
+        calls = []
+        generate = embudget.engine.generate_diurnal_trace
+
+        def counting_generate(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(embudget.engine, "generate_diurnal_trace", counting_generate)
+        workload = simple_workload(base_rate=0.6)
+        configs = [make_config(f"{policy.kind}_{ci}", constant_trace(ci), 1800, policy,
+                               workload=workload, seed=4)
+                   for policy in (UNLIMITED, FIXED) for ci in (100.0, 700.0)]
+        reports = run_matrix(configs)
+        assert len(calls) == 1
+        assert reports == [run_scenario(c) for c in configs]
 
 
 class TestValidation:

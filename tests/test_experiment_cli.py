@@ -3,6 +3,7 @@ import textwrap
 import pytest
 import yaml
 
+import embudget.engine
 import embudget.experiment
 from embudget.cli import main
 from embudget.engine import run_matrix
@@ -13,7 +14,7 @@ from embudget.experiment import (
     validate,
 )
 from embudget.presets import paper_grid_path
-from embudget.workload import Task, export_tasks_csv
+from embudget.workload import Task, WorkloadError, export_tasks_csv
 
 TRACE_CSV = textwrap.dedent("""\
     timestamp,intensity
@@ -54,6 +55,12 @@ def small_experiment(tmp_path, horizon=600, trace_path="trace.csv"):
           fixed: {{rate_g_per_s: 0.0166}}
           budget: {{total_g: 50.0}}
     """))
+
+
+def replay_experiment(tmp_path, tasks_csv):
+    """small_experiment replaying `tasks_csv` instead of generating its workload."""
+    (tmp_path / "tasks.csv").write_text(tasks_csv)
+    return experiment_with(tmp_path, "workload", {"replay": "tasks.csv"})
 
 
 def experiment_with(tmp_path, key, value):
@@ -219,24 +226,18 @@ class TestBuildScenarios:
         assert "GONE" in message and "gone.csv" in message
         assert "SHORT" in message and "horizon 600s exceeds window span 120s" in message
 
-    @pytest.mark.xfail(strict=True, reason="replay scenarios share one mutable Task list, so "
-                       "a serial run hands later scenarios tasks an earlier one finished")
-    def test_replay_results_do_not_depend_on_workers(self, tmp_path):
-        tasks = [Task(i, i, 2.0, 5.0, i + 60.0) for i in range(300)]
-        (tmp_path / "tasks.csv").write_text(export_tasks_csv(tasks))
-        path = write_experiment(tmp_path, textwrap.dedent("""\
-            horizon_s: 600
-            workload: {replay: tasks.csv}
-            traces:
-              T1: {path: trace.csv}
-            policies:
-              unlimited: {}
-              fixed: {rate_g_per_s: 0.0166}
-        """))
+    @pytest.mark.parametrize("workload", ["replay", "generated"])
+    def test_replay_results_do_not_depend_on_workers(self, tmp_path, workload):
+        if workload == "replay":
+            tasks = [Task(i, i, 2.0, 5.0, i + 60.0) for i in range(300)]
+            path = replay_experiment(tmp_path, export_tasks_csv(tasks))
+        else:
+            path = small_experiment(tmp_path)
         experiment = load_experiment(path)
         serial = run_matrix(build_scenarios(experiment), workers=1)
         parallel = run_matrix(build_scenarios(experiment), workers=2)
-        assert [r.finished_tasks for r in serial] == [r.finished_tasks for r in parallel]
+        assert serial == parallel
+        assert all(r.finished_tasks > 0 for r in serial)
 
 
 class TestCli:
@@ -323,3 +324,31 @@ class TestCli:
         path = small_experiment(tmp_path)
         assert main(["run", str(path), "--scenario", "typo"]) == 2
         assert "typo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["x,1,2.0,5.0,61", "1,1,2.0"], ids=["not_a_number", "short"])
+    def test_malformed_replay_row_is_one_error_line(self, tmp_path, capsys, row):
+        path = replay_experiment(tmp_path, "id,arrival,cu,runtime,deadline\n0,0,2.0,5.0,60\n"
+                                           f"{row}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: replay ")
+        assert "tasks.csv" in err[0] and "line 3" in err[0]
+        assert not out.exists()
+
+    def test_validate_reports_replay_without_required_columns(self, tmp_path, capsys):
+        path = replay_experiment(tmp_path, "id,arrival\n1,2\n")
+        assert main(["validate", str(path)]) == 1
+        printed = capsys.readouterr().out
+        assert "tasks.csv" in printed and "cu" in printed
+
+    def test_generation_error_names_scenario(self, tmp_path, capsys, monkeypatch):
+        def failing_generate(params, horizon, seed):
+            raise WorkloadError("generator broke")
+
+        monkeypatch.setattr(embudget.engine, "generate_diurnal_trace", failing_generate)
+        out = tmp_path / "out"
+        assert main(["run", str(small_experiment(tmp_path)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "scenario 'unlimited_T1' failed: generator broke" in err
+        assert "status: failed" in (out / "manifest.txt").read_text()

@@ -123,9 +123,9 @@ class TestStepAllocation:
         q.admit([Task(0, 0, 4, 2, 1000), Task(1, 0, 4, 2, 1000)])
         used, _ = q.step_allocation(6.0, 0)
         assert used == 6.0
-        tasks = q.pending_tasks()
-        assert tasks[0].work_done == 4.0  # front got its full demand
-        assert tasks[1].work_done == 2.0  # leftover only
+        progress = q.progress()
+        assert progress[0] == 4.0  # front got its full demand
+        assert progress[1] == 2.0  # leftover only
 
     def test_capacity_respected(self):
         q = TaskQueue()
@@ -141,7 +141,7 @@ class TestStepAllocation:
         for step in range(20):
             used, _ = q.step_allocation(3.0, step)
             granted += used
-        assert granted == pytest.approx(sum(t.work_done for t in tasks))
+        assert granted == pytest.approx(sum(q.progress().values()))
 
 
 class TestDropExpired:
@@ -204,3 +204,4 @@ class TestCsvRoundTrip:
     def test_bad_header(self):
         with pytest.raises(WorkloadError):
             import_tasks_csv("id,arrival\n1,2\n")
+
