@@ -28,9 +28,9 @@ class EmissionsBudget:
     __slots__ = ("total", "horizon", "base_rate", "_spent", "_comp")
 
     def __init__(self, total: float, horizon: float) -> None:
-        if total <= 0:
+        if not total > 0:
             raise BudgetError(f"budget total must be positive, got {total}")
-        if horizon <= 0:
+        if not horizon > 0:
             raise BudgetError(f"horizon must be positive, got {horizon}")
         self.total = total
         self.horizon = horizon
@@ -48,7 +48,7 @@ class EmissionsBudget:
 
     def record_emission(self, grams: float) -> None:
         """Add one step's emission to the ledger. Overdrafts raise, never clamp."""
-        if grams < 0:
+        if not grams >= 0:
             raise BudgetError(f"negative emission {grams}")
         if self._spent + grams > self.total + _OVERDRAFT_EPS:
             raise BudgetViolationError(
@@ -65,7 +65,7 @@ class EmissionsBudget:
         Never permits spend past base_rate * (now + 1), so front-loading is
         impossible, and by construction never past the total.
         """
-        if now < 0 or now >= self.horizon:
+        if not 0 <= now < self.horizon:
             raise HorizonError(f"now={now} outside [0, {self.horizon})")
         allowance = self.base_rate * (now + 1.0) - self._spent
         return allowance if allowance > 0.0 else 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -52,8 +53,8 @@ class CarbonIntensityTrace:
         if self.step <= 0:
             raise TraceError(f"step must be positive, got {self.step}")
         for v in self.values:
-            if v < 0:
-                raise TraceError(f"negative carbon intensity {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise TraceError(f"carbon intensity must be finite and >= 0, got {v}")
 
     @property
     def span(self) -> int:
@@ -122,8 +123,8 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
             ci = float(row[cmap.intensity])
         except (TypeError, ValueError) as exc:
             raise TraceSchemaError(f"line {lineno}: bad intensity {row[cmap.intensity]!r}") from exc
-        if ci < 0:
-            raise TraceError(f"line {lineno}: negative intensity {ci}")
+        if not (math.isfinite(ci) and ci >= 0):
+            raise TraceError(f"line {lineno}: intensity must be finite and >= 0, got {ci}")
         rows.append((ts, ci))
     if not rows:
         raise TraceError("CSV contains no data rows")

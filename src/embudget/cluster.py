@@ -21,9 +21,9 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ClusterError(f"{self.name}: capacity must be positive")
-        if self.idle_power < 0:
+        if not self.idle_power >= 0:
             raise ClusterError(f"{self.name}: idle power must be >= 0")
-        if self.peak_power <= self.idle_power:
+        if not self.peak_power > self.idle_power:
             raise ClusterError(f"{self.name}: peak power must exceed idle power")
 
 

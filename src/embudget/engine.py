@@ -33,9 +33,10 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ScenarioError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "fixed" and (self.rate_g_per_s is None or self.rate_g_per_s < 0):
+        if self.kind == "fixed" and (self.rate_g_per_s is None or not self.rate_g_per_s >= 0):
             raise ScenarioError("fixed policy needs rate_g_per_s >= 0")
-        if self.kind == "greedy_budget" and (self.budget_total_g is None or self.budget_total_g <= 0):
+        if self.kind == "greedy_budget" and (
+                self.budget_total_g is None or not self.budget_total_g > 0):
             raise ScenarioError("greedy_budget policy needs budget_total_g > 0")
 
 

@@ -1,9 +1,8 @@
-"""Experiment-file loading: YAML schema, validation diagnostics, scenario expansion."""
+"""Experiment-file loading: YAML schema, one check pass at load, scenario expansion."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -11,19 +10,13 @@ import yaml
 from .carbon import (
     CarbonIntensityTrace,
     ColumnMap,
-    TraceError,
     _parse_timestamp,
     parse_trace,
 )
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
-from .workload import (
-    DiurnalTraceParams,
-    Task,
-    WorkloadError,
-    import_tasks_csv,
-    task_csv_positions,
-)
+from .reporting import DEFAULT_PRICES_EUR_PER_TON
+from .workload import DiurnalTraceParams, Task, import_tasks_csv
 
 _POLICY_ALIASES = {
     "unlimited": "unlimited",
@@ -34,7 +27,7 @@ _POLICY_ALIASES = {
 
 
 class ExperimentError(ValueError):
-    """An experiment file that cannot run; `problems` lists each reason validation found."""
+    """An experiment file that cannot run; `problems` lists each reason the check pass found."""
 
     def __init__(self, message: str, problems: list[str] | None = None) -> None:
         super().__init__(message)
@@ -52,6 +45,8 @@ class TraceRef:
 
 @dataclass
 class Experiment:
+    """A loaded experiment file, with every trace and replay file it names read once."""
+
     path: Path
     output_dir: Path
     prices: tuple[float, ...]
@@ -62,9 +57,13 @@ class Experiment:
     initial_node: str
     workload: DiurnalTraceParams | None
     seed: int
-    replay_path: Path | None
-    traces: list[TraceRef]
     policies: list[tuple[str, PolicySpec]]  # (label prefix, spec)
+    # Filled by the check pass: each trace that loaded, by label; the replayed
+    # task list (None when the workload is generated or the replay did not
+    # load); and every reason a run would not start.
+    traces: dict[str, CarbonIntensityTrace] = field(default_factory=dict)
+    tasks: list[Task] | None = None
+    problems: list[str] = field(default_factory=list)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -74,7 +73,12 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def load_experiment(path: str | Path) -> Experiment:
-    """Parse an experiment YAML file. Raises ExperimentError on malformed structure."""
+    """Parse an experiment YAML file and run the check pass on it.
+
+    Malformed structure raises ExperimentError. Every other reason the
+    experiment would not run, such as a missing trace or a bad replay row, is
+    recorded in `problems`; each trace and the replay file is read once, here.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -86,13 +90,15 @@ def load_experiment(path: str | Path) -> Experiment:
         raise ExperimentError(f"{path}: top level must be a mapping")
 
     try:
-        return _parse(raw, path)
+        experiment, trace_refs, replay_path = _parse(raw, path)
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         # Malformed values raise from the parsing or from the domain constructors.
         raise ExperimentError(f"{path}: {exc}") from exc
+    _check(experiment, trace_refs, replay_path)
+    return experiment
 
 
-def _parse(raw: dict, path: Path) -> Experiment:
+def _parse(raw: dict, path: Path) -> tuple[Experiment, list[TraceRef], Path | None]:
     base = path.parent
 
     cluster_cfg = raw.get("cluster", {}) or {}
@@ -166,10 +172,10 @@ def _parse(raw: dict, path: Path) -> Experiment:
         policies.append((str(name), spec))
 
     outputs = raw.get("outputs", {}) or {}
-    return Experiment(
+    experiment = Experiment(
         path=path,
         output_dir=base / raw.get("output", "results"),
-        prices=tuple(float(p) for p in raw.get("prices", (80.0, 150.0, 700.0))),
+        prices=tuple(float(p) for p in raw.get("prices", DEFAULT_PRICES_EUR_PER_TON)),
         horizon=int(raw["horizon_s"]) if "horizon_s" in raw else None,
         outputs_steps=bool(outputs.get("steps", True)),
         outputs_buckets=bool(outputs.get("buckets", True)),
@@ -177,10 +183,9 @@ def _parse(raw: dict, path: Path) -> Experiment:
         initial_node=str(initial),
         workload=workload,
         seed=seed,
-        replay_path=replay_path,
-        traces=traces,
         policies=policies,
     )
+    return experiment, traces, replay_path
 
 
 def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
@@ -197,72 +202,55 @@ def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
     return trace
 
 
-def _replay_header_problems(path: Path) -> list[str]:
-    """Check the replay file's header line only; build_scenarios imports the rows."""
-    try:
-        with path.open(newline="") as f:
-            task_csv_positions(next(csv.reader(f), []))
-    except (OSError, ValueError, csv.Error) as exc:  # ValueError: WorkloadError or bad encoding
-        return [f"replay {path}: {exc}"]
-    return []
-
-
-def _check(experiment: Experiment) -> tuple[list[str], dict[str, CarbonIntensityTrace]]:
-    """Load every trace once; return all the reasons a run would not start, and the traces."""
-    diags: list[str] = []
-    if not experiment.traces:
-        diags.append("no traces declared")
+def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path | None) -> None:
+    """The one check pass: read each trace and the replay file once, record every problem."""
+    problems = experiment.problems
+    if not trace_refs:
+        problems.append("no traces declared")
     if not experiment.policies:
-        diags.append("no policies declared")
-    if experiment.workload is None and experiment.replay_path is None:
-        diags.append("no workload or replay declared")
-    if experiment.replay_path is not None:
-        diags += _replay_header_problems(experiment.replay_path)
-    if any(p <= 0 for p in experiment.prices):
-        diags.append("carbon prices must be positive")
-    diags += cluster_problems(experiment.cluster, experiment.initial_node)
-    loaded = {}
-    for ref in experiment.traces:
+        problems.append("no policies declared")
+    if experiment.workload is None and replay_path is None:
+        problems.append("no workload or replay declared")
+    if replay_path is not None:
         try:
-            trace = loaded[ref.label] = load_trace(ref)
-        except (TraceError, OSError) as exc:
-            diags.append(f"trace {ref.label}: {exc}")
+            experiment.tasks = import_tasks_csv(replay_path.read_text())
+        except (OSError, ValueError) as exc:  # ValueError: WorkloadError or bad encoding
+            problems.append(f"replay {replay_path}: {exc}")
+    if any(not p > 0 for p in experiment.prices):
+        problems.append("carbon prices must be positive")
+    problems += cluster_problems(experiment.cluster, experiment.initial_node)
+    for ref in trace_refs:
+        try:
+            trace = experiment.traces[ref.label] = load_trace(ref)
+        except (OSError, ValueError) as exc:  # ValueError: TraceError, bad encoding, nan days
+            problems.append(f"trace {ref.label}: {exc}")
             continue
         horizon = experiment.horizon if experiment.horizon is not None else trace.span
         if horizon <= 0:
-            diags.append(f"trace {ref.label}: horizon must be positive")
+            problems.append(f"trace {ref.label}: horizon must be positive")
         elif horizon > trace.span:
-            diags.append(
+            problems.append(
                 f"trace {ref.label}: horizon {horizon}s exceeds window span {trace.span}s"
             )
-    return diags, loaded
 
 
 def validate(experiment: Experiment) -> list[str]:
-    """All the reasons a run would not start; empty list means it would."""
-    return _check(experiment)[0]
+    """All the reasons a run would not start, found at load; empty list means it would."""
+    return experiment.problems
 
 
 def build_scenarios(experiment: Experiment, labels: list[str] | None = None,
                     seed_override: int | None = None) -> list[ScenarioConfig]:
     """Expand the policy x trace grid; raise ExperimentError listing every `validate` problem."""
-    problems, loaded = _check(experiment)
-    if problems:
-        raise ExperimentError("; ".join(problems), problems)
-    replay_tasks: list[Task] | None = None
-    if experiment.replay_path is not None:
-        try:
-            replay_tasks = import_tasks_csv(experiment.replay_path.read_text())
-        except (OSError, WorkloadError) as exc:
-            raise ExperimentError(f"replay {experiment.replay_path}: {exc}") from exc
+    if experiment.problems:
+        raise ExperimentError("; ".join(experiment.problems), experiment.problems)
 
     scenarios = []
     for policy_name, policy_spec in experiment.policies:
-        for ref in experiment.traces:
-            label = f"{policy_name}_{ref.label}"
+        for trace_label, trace in experiment.traces.items():
+            label = f"{policy_name}_{trace_label}"
             if labels is not None and label not in labels:
                 continue
-            trace = loaded[ref.label]
             horizon = experiment.horizon if experiment.horizon is not None else trace.span
             scenarios.append(ScenarioConfig(
                 label=label,
@@ -273,7 +261,7 @@ def build_scenarios(experiment: Experiment, labels: list[str] | None = None,
                 initial_node=experiment.initial_node,
                 workload=experiment.workload,
                 seed=seed_override if seed_override is not None else experiment.seed,
-                tasks=replay_tasks,
+                tasks=experiment.tasks,
             ))
     if labels is not None:
         missing = set(labels) - {s.label for s in scenarios}

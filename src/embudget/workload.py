@@ -38,9 +38,9 @@ class Task:
     total_work: float = 0.0  # CU-seconds, fixed at creation
 
     def __post_init__(self) -> None:
-        if self.cu_demand <= 0 or self.nominal_runtime <= 0:
+        if not (self.cu_demand > 0 and self.nominal_runtime > 0):
             raise WorkloadError(f"task {self.id}: demand and runtime must be positive")
-        if self.deadline <= self.arrival:
+        if not self.deadline > self.arrival:
             raise WorkloadError(f"task {self.id}: deadline must be after arrival")
         if self.total_work == 0.0:
             self.total_work = self.cu_demand * self.nominal_runtime
@@ -61,17 +61,18 @@ class DiurnalTraceParams:
     runtime_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_rate < 0 or any(a < 0 for a in self.peak_amplitudes):
-            raise WorkloadError("rates must be >= 0")
+        # An infinite rate would keep the generator emitting tasks forever; nan would emit none.
+        if not all(0 <= r < math.inf for r in (self.base_rate, *self.peak_amplitudes)):
+            raise WorkloadError("rates must be finite and >= 0")
         if any(not 0 <= p < SECONDS_PER_DAY for p in self.peak_times):
             raise WorkloadError("peak times must lie within one day")
-        if self.peak_width <= 0:
+        if not self.peak_width > 0:
             raise WorkloadError("peak width must be positive")
         # Every generated task must be a valid Task: positive demand and runtime,
         # deadline after arrival.
-        if self.task_cu <= 0 or self.task_runtime <= 0:
+        if not (self.task_cu > 0 and self.task_runtime > 0):
             raise WorkloadError("task CU and runtime must be positive")
-        if self.deadline_slack < 0:
+        if not self.deadline_slack >= 0:
             raise WorkloadError("deadline slack must be >= 0")
         if not (0 <= self.cu_jitter < 1 and 0 <= self.runtime_jitter < 1):
             raise WorkloadError("cu and runtime jitter must lie in [0, 1)")
@@ -244,18 +245,17 @@ def export_tasks_csv(tasks: list[Task]) -> str:
     return out.getvalue()
 
 
-def task_csv_positions(header: list[str]) -> list[int]:
-    """Position of each TASK_CSV_COLUMNS name in a task CSV header row."""
+def import_tasks_csv(csv_text: str) -> list[Task]:
+    """Tasks of a task CSV, sorted by (arrival, id).
+
+    WorkloadError names a malformed line, or a task id that appears twice.
+    """
+    reader = csv.reader(io.StringIO(csv_text))
+    header = next(reader, [])
     missing = [name for name in TASK_CSV_COLUMNS if name not in header]
     if missing:
         raise WorkloadError(f"task CSV needs columns {list(TASK_CSV_COLUMNS)}, missing {missing}")
-    return [header.index(name) for name in TASK_CSV_COLUMNS]
-
-
-def import_tasks_csv(csv_text: str) -> list[Task]:
-    """Tasks of a task CSV, sorted by (arrival, id); WorkloadError names a malformed line."""
-    reader = csv.reader(io.StringIO(csv_text))
-    i_id, i_arrival, i_cu, i_runtime, i_deadline = task_csv_positions(next(reader, []))
+    i_id, i_arrival, i_cu, i_runtime, i_deadline = (header.index(n) for n in TASK_CSV_COLUMNS)
     tasks = []
     append = tasks.append
     try:
@@ -269,4 +269,10 @@ def import_tasks_csv(csv_text: str) -> list[Task]:
     except (ValueError, OverflowError, csv.Error) as exc:
         raise WorkloadError(f"line {reader.line_num}: {exc}") from exc
     tasks.sort(key=lambda t: (t.arrival, t.id))
+    # Checked once the sort has freed its keys, so the id set does not raise peak memory.
+    seen: set[int] = set()
+    for task in tasks:
+        if task.id in seen:
+            raise WorkloadError(f"duplicate task id {task.id}")
+        seen.add(task.id)
     return tasks

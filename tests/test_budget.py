@@ -41,6 +41,10 @@ class TestRecordEmission:
         with pytest.raises(BudgetError):
             weekly_budget().record_emission(-0.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(BudgetError):
+            weekly_budget().record_emission(math.nan)
+
 
 class TestGreedyAllowance:
     def test_first_second_is_base_rate(self):
@@ -63,6 +67,8 @@ class TestGreedyAllowance:
     def test_horizon_error(self):
         with pytest.raises(HorizonError):
             weekly_budget().greedy_allowance(WEEK)
+        with pytest.raises(HorizonError):
+            weekly_budget().greedy_allowance(math.nan)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=300))
@@ -149,3 +155,7 @@ class TestConstruction:
             EmissionsBudget(0.0, 100.0)
         with pytest.raises(BudgetError):
             EmissionsBudget(10.0, 0.0)
+        with pytest.raises(BudgetError):
+            EmissionsBudget(math.nan, 100.0)
+        with pytest.raises(BudgetError):
+            EmissionsBudget(10.0, math.nan)

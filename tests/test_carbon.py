@@ -40,6 +40,11 @@ class TestParseTrace:
         with pytest.raises(TraceError):
             parse_trace("ts,ci\n2024-01-01T00:00Z,-5\n2024-01-01T01:00Z,4\n", CMAP)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_not_finite_intensity(self, cell):
+        with pytest.raises(TraceError, match="line 3"):
+            parse_trace(f"ts,ci\n2024-01-01T00:00Z,5\n2024-01-01T01:00Z,{cell}\n", CMAP)
+
     def test_week_long_synthetic_file(self):
         rows = ["ts,ci"]
         for h in range(168):
@@ -98,6 +103,11 @@ class TestConversion:
     def test_negative_rejected(self):
         with pytest.raises(TraceError):
             CarbonIntensityTrace("c", 0, 3600, (-1.0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_not_finite_rejected(self, value):
+        with pytest.raises(TraceError):
+            CarbonIntensityTrace("c", 0, 3600, (1.0, value))
 
     @settings(deadline=None)
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False))

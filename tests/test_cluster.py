@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import constant_trace, make_config, option_power
-from embudget.cluster import LARGE, MEDIUM, SMALL, NodeSpec
+from embudget.cluster import LARGE, MEDIUM, SMALL, ClusterError, NodeSpec
 from embudget.engine import PolicySpec, run_scenario
 from embudget.policies import MIGRATION_SAVING_FRACTION, choose_option
 from embudget.workload import Task, WorkloadError
@@ -63,6 +63,14 @@ class TestNodePower:
         lo, hi = sorted([f1, f2])
         assert (one_step(spec, lo * spec.capacity).power_w[0]
                 <= one_step(spec, hi * spec.capacity).power_w[0])
+
+
+class TestNodeSpec:
+    @pytest.mark.parametrize("idle, peak", [(math.nan, 10.0), (1.0, math.nan)],
+                             ids=["idle", "peak"])
+    def test_nan_power_rejected(self, idle, peak):
+        with pytest.raises(ClusterError):
+            NodeSpec("n", 10, idle, peak)
 
 
 class TestUtilizationForCu:

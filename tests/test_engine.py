@@ -175,6 +175,10 @@ class TestValidation:
             PolicySpec("greedy_budget", budget_total_g=-1.0)
         with pytest.raises(ScenarioError):
             PolicySpec("mystery")
+        with pytest.raises(ScenarioError):
+            PolicySpec("fixed", rate_g_per_s=math.nan)
+        with pytest.raises(ScenarioError):
+            PolicySpec("greedy_budget", budget_total_g=math.nan)
 
 
 class TestRunMatrix:

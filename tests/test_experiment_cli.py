@@ -1,3 +1,4 @@
+import math
 import textwrap
 
 import pytest
@@ -58,8 +59,12 @@ def small_experiment(tmp_path, horizon=600, trace_path="trace.csv"):
 
 
 def replay_experiment(tmp_path, tasks_csv):
-    """small_experiment replaying `tasks_csv` instead of generating its workload."""
-    (tmp_path / "tasks.csv").write_text(tasks_csv)
+    """small_experiment replaying `tasks_csv` instead of generating its workload.
+
+    With `tasks_csv` None the replay file is not written.
+    """
+    if tasks_csv is not None:
+        (tmp_path / "tasks.csv").write_text(tasks_csv)
     return experiment_with(tmp_path, "workload", {"replay": "tasks.csv"})
 
 
@@ -92,6 +97,16 @@ MALFORMED = {
     "policies_a_list": ("policies", ["a", "b"]),
     "cluster_a_list": ("cluster", [1, 2]),
     "trace_entry_a_string": ("traces", {"T1": "x"}),
+    "fixed_rate_nan": ("policies.fixed.rate_g_per_s", math.nan),
+    "budget_total_nan": ("policies.budget.total_g", math.nan),
+    "base_rate_nan": ("workload.base_rate", math.nan),
+    "peak_amplitude_nan": ("workload.peak_amplitudes", [math.nan, 0.0]),
+    "task_cu_nan": ("workload.task_cu", math.nan),
+    "deadline_slack_nan": ("workload.deadline_slack_s", math.nan),
+    "node_idle_nan": (
+        "cluster", {"nodes": [{"name": "medium", "capacity": 9, "idle_w": math.nan, "peak_w": 2}]}),
+    "node_peak_nan": (
+        "cluster", {"nodes": [{"name": "medium", "capacity": 9, "idle_w": 1, "peak_w": math.nan}]}),
 }
 
 # Values that, unchecked, would fail only once the run has started.
@@ -103,7 +118,33 @@ NOT_RUNNABLE = {
     "task_cu_zero": ("workload.task_cu", 0, "task CU and runtime"),
     "task_runtime_zero": ("workload.task_runtime_s", 0, "task CU and runtime"),
     "cu_jitter_above_one": ("workload.cu_jitter", 1.5, "jitter"),
+    "price_nan": ("prices", [math.nan, 80], "carbon prices must be positive"),
+    "trace_days_nan": ("traces.T1.days", math.nan, "trace T1: cannot convert float NaN"),
 }
+
+TASKS_HEADER_AND_ROW = "id,arrival,cu,runtime,deadline\n0,0,2.0,5.0,60\n"
+
+# Replay files that cannot run (None: no file), each with a piece of its one problem.
+REPLAY_DEFECTS = {
+    "missing_file": (None, "No such file"),
+    "missing_columns": ("id,arrival\n1,2\n", "missing ['cu', 'runtime', 'deadline']"),
+    "not_a_number": (TASKS_HEADER_AND_ROW + "x,1,2.0,5.0,61\n", "line 3: invalid literal"),
+    "short": (TASKS_HEADER_AND_ROW + "1,1,2.0\n", "line 3: too few fields"),
+    "duplicate_id": (TASKS_HEADER_AND_ROW + "0,1,2.0,5.0,61\n", "duplicate task id 0"),
+    "nan_cu": (TASKS_HEADER_AND_ROW + "1,1,nan,5.0,61\n", "line 3: task 1: demand and runtime"),
+}
+
+
+def refused_before_writing(path, tmp_path, capsys):
+    """The one problem `validate` prints (exit 1), which `run` refuses with (exit 2, no output)."""
+    assert main(["validate", str(path)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(printed) == 1 and err == [f"invalid: {printed[0]}"]
+    assert not out.exists()
+    return printed[0]
 
 
 class TestLoadExperiment:
@@ -226,6 +267,30 @@ class TestBuildScenarios:
         assert "GONE" in message and "gone.csv" in message
         assert "SHORT" in message and "horizon 600s exceeds window span 120s" in message
 
+    def test_load_reads_each_file_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("parse_trace", "import_tasks_csv"):
+            monkeypatch.setattr(embudget.experiment, name,
+                                counting(name, getattr(embudget.experiment, name)))
+        path = replay_experiment(tmp_path, export_tasks_csv([Task(0, 0, 2.0, 5.0, 100.0)]))
+        raw = yaml.safe_load(path.read_text())
+        raw["traces"]["T2"] = {"path": "trace.csv"}
+        path.write_text(yaml.safe_dump(raw))
+
+        experiment = load_experiment(path)
+        assert validate(experiment) == []
+        first, second = build_scenarios(experiment), build_scenarios(experiment)
+        assert validate(experiment) == []
+        assert sorted(calls) == ["import_tasks_csv", "parse_trace", "parse_trace"]
+        assert [s.label for s in first] == [s.label for s in second] and len(first) == 6
+
     @pytest.mark.parametrize("workload", ["replay", "generated"])
     def test_replay_results_do_not_depend_on_workers(self, tmp_path, workload):
         if workload == "replay":
@@ -325,22 +390,18 @@ class TestCli:
         assert main(["run", str(path), "--scenario", "typo"]) == 2
         assert "typo" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["x,1,2.0,5.0,61", "1,1,2.0"], ids=["not_a_number", "short"])
-    def test_malformed_replay_row_is_one_error_line(self, tmp_path, capsys, row):
-        path = replay_experiment(tmp_path, "id,arrival,cu,runtime,deadline\n0,0,2.0,5.0,60\n"
-                                           f"{row}\n")
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: replay ")
-        assert "tasks.csv" in err[0] and "line 3" in err[0]
-        assert not out.exists()
+    @pytest.mark.parametrize("tasks_csv, problem", REPLAY_DEFECTS.values(),
+                             ids=REPLAY_DEFECTS.keys())
+    def test_malformed_replay_row_is_one_error_line(self, tmp_path, capsys, tasks_csv, problem):
+        line = refused_before_writing(replay_experiment(tmp_path, tasks_csv), tmp_path, capsys)
+        assert line.startswith("replay ") and "tasks.csv" in line and problem in line
 
-    def test_validate_reports_replay_without_required_columns(self, tmp_path, capsys):
-        path = replay_experiment(tmp_path, "id,arrival\n1,2\n")
-        assert main(["validate", str(path)]) == 1
-        printed = capsys.readouterr().out
-        assert "tasks.csv" in printed and "cu" in printed
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-5"])
+    def test_bad_trace_cell_is_one_invalid_line(self, tmp_path, capsys, cell):
+        path = small_experiment(tmp_path)
+        (tmp_path / "trace.csv").write_text(TRACE_CSV.replace(",340", f",{cell}"))
+        line = refused_before_writing(path, tmp_path, capsys)
+        assert line.startswith("trace T1: line 3: intensity must be finite and >= 0")
 
     def test_generation_error_names_scenario(self, tmp_path, capsys, monkeypatch):
         def failing_generate(params, horizon, seed):

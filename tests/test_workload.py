@@ -59,6 +59,9 @@ class TestGenerator:
     @pytest.mark.parametrize("bad", [
         {"cu": 0.0}, {"runtime": 0.0}, {"slack": -1.0},
         {"cu_jitter": 1.5}, {"cu_jitter": -0.1}, {"runtime_jitter": 1.0},
+        {"cu": math.nan}, {"runtime": math.nan}, {"slack": math.nan}, {"width": math.nan},
+        {"base": math.nan}, {"base": math.inf},
+        {"amps": (0.0, math.nan)}, {"amps": (math.inf, 0.0)},
     ])
     def test_params_that_would_make_invalid_tasks_rejected(self, bad):
         with pytest.raises(WorkloadError):
@@ -85,6 +88,12 @@ class TestAdmit:
         q.admit([Task(0, 0, 1, 5, 100)])
         with pytest.raises(WorkloadError):
             q.admit([Task(0, 1, 1, 5, 100)])
+
+    @pytest.mark.parametrize("fields", [(math.nan, 5, 100), (1, math.nan, 100), (1, 5, math.nan)],
+                             ids=["cu", "runtime", "deadline"])
+    def test_nan_task_rejected(self, fields):
+        with pytest.raises(WorkloadError):
+            Task(0, 0, *fields)
 
     def test_zero_arrivals(self):
         q = TaskQueue()
@@ -204,4 +213,9 @@ class TestCsvRoundTrip:
     def test_bad_header(self):
         with pytest.raises(WorkloadError):
             import_tasks_csv("id,arrival\n1,2\n")
+
+    def test_duplicate_id_named(self):
+        text = export_tasks_csv([Task(7, 0, 1, 5, 100), Task(7, 3, 1, 5, 100)])
+        with pytest.raises(WorkloadError, match="duplicate task id 7"):
+            import_tasks_csv(text)
 
