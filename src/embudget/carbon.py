@@ -110,22 +110,30 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
     """
     cmap = column_map or ColumnMap()
     reader = csv.DictReader(io.StringIO(csv_text))
-    if reader.fieldnames is None:
-        raise TraceSchemaError("CSV has no header row")
-    for col in (cmap.timestamp, cmap.intensity):
-        if col not in reader.fieldnames:
-            raise TraceSchemaError(f"missing column {col!r} (have {reader.fieldnames})")
-
     rows: list[tuple[int, float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        ts = _parse_timestamp(row[cmap.timestamp])
-        try:
-            ci = float(row[cmap.intensity])
-        except (TypeError, ValueError) as exc:
-            raise TraceSchemaError(f"line {lineno}: bad intensity {row[cmap.intensity]!r}") from exc
-        if not (math.isfinite(ci) and ci >= 0):
-            raise TraceError(f"line {lineno}: intensity must be finite and >= 0, got {ci}")
-        rows.append((ts, ci))
+    try:
+        if reader.fieldnames is None:
+            raise TraceSchemaError("CSV has no header row")
+        for col in (cmap.timestamp, cmap.intensity):
+            if col not in reader.fieldnames:
+                raise TraceSchemaError(f"missing column {col!r} (have {reader.fieldnames})")
+
+        for row in reader:
+            lineno = reader.line_num
+            raw_ts, raw_ci = row[cmap.timestamp], row[cmap.intensity]
+            if raw_ts is None or raw_ci is None:
+                raise TraceSchemaError(f"line {lineno}: fewer cells than the header")
+            ts = _parse_timestamp(raw_ts)
+            try:
+                ci = float(raw_ci)
+            except ValueError as exc:
+                raise TraceSchemaError(f"line {lineno}: bad intensity {raw_ci!r}") from exc
+            if not (math.isfinite(ci) and ci >= 0):
+                raise TraceError(f"line {lineno}: intensity must be finite and >= 0, got {ci}")
+            rows.append((ts, ci))
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        # DictReader.line_num counts the rows it returned; its csv reader's counts this one.
+        raise TraceSchemaError(f"line {reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise TraceError("CSV contains no data rows")
     rows.sort(key=lambda r: r[0])

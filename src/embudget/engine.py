@@ -19,6 +19,10 @@ ACTION_NAMES = ("scale", "migrate", "suspend")
 
 POLICY_KINDS = ("unlimited", "fixed", "greedy_budget")
 
+# The per-step columns of a SimulationReport, one array each.
+REPORT_COLUMNS = ("power_w", "emission_g", "allowance_g", "utilization", "queued_demand",
+                  "completions", "drops", "action", "node_index")
+
 
 class ScenarioError(ValueError):
     pass
@@ -71,7 +75,11 @@ class ScenarioConfig:
 
 @dataclass
 class SimulationReport:
-    """Per-step series plus scenario metadata; immutable once produced."""
+    """Per-step series plus scenario metadata; read-only once produced.
+
+    Reports from one run_matrix call may hold the same array object for a
+    column whose contents are byte-identical, so callers must not write to them.
+    """
 
     label: str
     horizon: int
@@ -226,15 +234,35 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     """Run scenarios independently; output order matches input order.
 
     Each distinct generated workload (parameters, horizon, seed) is generated
-    once and its task list handed to every scenario that uses it.
+    once and its task list handed to every scenario that uses it. Each report
+    column byte-identical to an earlier report's is replaced by that array, so
+    the grid keeps one copy of each distinct column.
     """
     if not configs:
         raise ScenarioError("scenario matrix is empty")
     configs = _with_generated_tasks(configs)
+    seen: dict[tuple[str, int], array] = {}
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_labelled, configs))
-    return [_run_labelled(c) for c in configs]
+            return [_share_columns(r, seen) for r in pool.map(_run_labelled, configs)]
+    return [_share_columns(_run_labelled(c), seen) for c in configs]
+
+
+def _share_columns(report: SimulationReport,
+                   seen: dict[tuple[str, int], array]) -> SimulationReport:
+    """Point each column of `report` at the byte-identical array `seen` already holds.
+
+    `seen` maps (typecode, hash of the bytes) to the first column with that key. A hit
+    counts only when the bytes match, so 0.0 and -0.0, or NaNs with different payloads,
+    never merge.
+    """
+    for name in REPORT_COLUMNS:
+        col = getattr(report, name)
+        data = col.tobytes()
+        earlier = seen.setdefault((col.typecode, hash(data)), col)
+        if earlier is not col and earlier.tobytes() == data:
+            setattr(report, name, earlier)
+    return report
 
 
 def _with_generated_tasks(configs: list[ScenarioConfig]) -> list[ScenarioConfig]:

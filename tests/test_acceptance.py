@@ -191,7 +191,7 @@ def test_criterion_6_oracle_equivalence(capsys):
         for policy in (PolicySpec("unlimited"),
                        PolicySpec("fixed", rate_g_per_s=rng.uniform(0.001, 0.05)),
                        PolicySpec("greedy_budget", budget_total_g=rng.uniform(0.5, 50.0))):
-            # tasks carry mutable progress, so each run needs fresh instances
+            # tasks are read-only, so one list could serve every policy; each run builds its own
             tasks = [Task(*fields) for fields in blueprint]
             report = run_scenario(make_config(
                 f"o{i}_{policy.kind}", trace, horizon, policy, tasks=tasks,

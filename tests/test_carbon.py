@@ -45,6 +45,15 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="line 3"):
             parse_trace(f"ts,ci\n2024-01-01T00:00Z,5\n2024-01-01T01:00Z,{cell}\n", CMAP)
 
+    def test_short_row_without_timestamp(self):
+        with pytest.raises(TraceSchemaError, match="line 3: fewer cells than the header"):
+            parse_trace("ci,ts\n380,2024-01-01T00:00Z\n130\n", CMAP)
+
+    def test_cell_over_csv_field_limit(self):
+        csv_text = TWO_ROWS.replace(",350", "," + "9" * 200_000)
+        with pytest.raises(TraceSchemaError, match="line 3: field larger than field limit"):
+            parse_trace(csv_text, CMAP)
+
     def test_week_long_synthetic_file(self):
         rows = ["ts,ci"]
         for h in range(168):

@@ -1,5 +1,7 @@
 import copy
 import math
+from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +10,15 @@ import embudget.engine
 from conftest import constant_trace, make_config, simple_workload
 from embudget.carbon import CarbonIntensityTrace
 from embudget.cluster import MEDIUM
-from embudget.engine import ACTION_NAMES, PolicySpec, ScenarioError, run_matrix, run_scenario
+from embudget.engine import (
+    ACTION_NAMES,
+    REPORT_COLUMNS,
+    PolicySpec,
+    ScenarioError,
+    _share_columns,
+    run_matrix,
+    run_scenario,
+)
 from embudget.workload import Task
 
 EXACT_RATE = 10_080.0 / 604_800.0
@@ -112,9 +122,8 @@ class TestStepInvariants:
         for t in range(3600):
             ci_ws = trace.values[t // 600] / 3_600_000.0
             assert report.emission_g[t] == report.power_w[t] * ci_ws
-        for column in (report.allowance_g, report.utilization, report.queued_demand,
-                       report.completions, report.drops, report.action, report.node_index):
-            assert len(column) == 3600
+        for name in REPORT_COLUMNS:
+            assert len(getattr(report, name)) == 3600
         assert set(report.action) <= set(range(len(ACTION_NAMES)))
 
 
@@ -209,6 +218,37 @@ class TestRunMatrix:
                    for i in range(3)]
         reports = run_matrix(configs)
         assert [r.label for r in reports] == ["s0", "s1", "s2"]
+
+
+class TestColumnSharing:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_columns_are_one_array(self, workers):
+        # Unlimited runs the same trajectory at any intensity; only emissions differ.
+        workload = simple_workload(base_rate=0.6)
+        configs = [make_config(f"unlimited_{ci}", constant_trace(ci), 1800, UNLIMITED,
+                               workload=workload, seed=4) for ci in (100.0, 700.0)]
+        low, high = run_matrix(configs, workers=workers)
+        for name in REPORT_COLUMNS:
+            if name == "emission_g":
+                assert getattr(low, name) is not getattr(high, name)
+            else:
+                assert getattr(low, name) is getattr(high, name), name
+        for report, config in zip((low, high), configs):
+            solo = run_scenario(config)
+            assert report == solo
+            for name in REPORT_COLUMNS:
+                assert getattr(report, name).tobytes() == getattr(solo, name).tobytes()
+
+    def test_only_byte_identical_columns_merge(self):
+        report = run_scenario(make_config("r", constant_trace(300.0), 2, UNLIMITED, tasks=[]))
+        seen = {}
+        zero = _share_columns(replace(report, power_w=array("d", [0.0, 0.0])), seen)
+        minus_zero = _share_columns(replace(report, power_w=array("d", [0.0, -0.0])), seen)
+        assert zero.power_w == minus_zero.power_w
+        assert zero.power_w is not minus_zero.power_w
+        nan = _share_columns(replace(report, power_w=array("d", [math.nan])), seen)
+        same_nan = _share_columns(replace(report, power_w=array("d", [math.nan])), seen)
+        assert same_nan.power_w is nan.power_w
 
 
 class TestDeterminism:

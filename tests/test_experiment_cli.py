@@ -134,6 +134,15 @@ REPLAY_DEFECTS = {
     "nan_cu": (TASKS_HEADER_AND_ROW + "1,1,nan,5.0,61\n", "line 3: task 1: demand and runtime"),
 }
 
+# Trace file -> the problem its line 3 has.
+TRACE_DEFECTS = {
+    **{cell: (TRACE_CSV.replace(",340", f",{cell}"), "intensity must be finite and >= 0")
+       for cell in ("nan", "inf", "-5")},
+    "short_row": ("intensity,timestamp\n120,2024-01-01T00:00:00Z\n340\n"
+                  "210,2024-01-01T02:00:00Z\n", "fewer cells than the header"),
+    "huge_cell": (TRACE_CSV.replace(",340", "," + "9" * 200_000), "field larger than field limit"),
+}
+
 
 def refused_before_writing(path, tmp_path, capsys):
     """The one problem `validate` prints (exit 1), which `run` refuses with (exit 2, no output)."""
@@ -396,12 +405,13 @@ class TestCli:
         line = refused_before_writing(replay_experiment(tmp_path, tasks_csv), tmp_path, capsys)
         assert line.startswith("replay ") and "tasks.csv" in line and problem in line
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-5"])
-    def test_bad_trace_cell_is_one_invalid_line(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("trace_csv, problem", TRACE_DEFECTS.values(),
+                             ids=TRACE_DEFECTS.keys())
+    def test_bad_trace_cell_is_one_invalid_line(self, tmp_path, capsys, trace_csv, problem):
         path = small_experiment(tmp_path)
-        (tmp_path / "trace.csv").write_text(TRACE_CSV.replace(",340", f",{cell}"))
+        (tmp_path / "trace.csv").write_text(trace_csv)
         line = refused_before_writing(path, tmp_path, capsys)
-        assert line.startswith("trace T1: line 3: intensity must be finite and >= 0")
+        assert line.startswith(f"trace T1: line 3: {problem}")
 
     def test_generation_error_names_scenario(self, tmp_path, capsys, monkeypatch):
         def failing_generate(params, horizon, seed):
