@@ -123,9 +123,11 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
             raw_ts, raw_ci = row[cmap.timestamp], row[cmap.intensity]
             if raw_ts is None or raw_ci is None:
                 raise TraceSchemaError(f"line {lineno}: fewer cells than the header")
-            ts = _parse_timestamp(raw_ts)
             try:
+                ts = _parse_timestamp(raw_ts)
                 ci = float(raw_ci)
+            except TraceSchemaError as exc:
+                raise TraceSchemaError(f"line {lineno}: {exc}") from exc
             except ValueError as exc:
                 raise TraceSchemaError(f"line {lineno}: bad intensity {raw_ci!r}") from exc
             if not (math.isfinite(ci) and ci >= 0):

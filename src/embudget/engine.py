@@ -11,7 +11,7 @@ from .budget import EmissionsBudget
 from .carbon import WS_PER_KWH, CarbonIntensityTrace
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .policies import choose_option
-from .workload import DiurnalTraceParams, Task, TaskQueue, generate_diurnal_trace
+from .workload import DiurnalTraceParams, Task, TaskQueue, generate_diurnal_trace, task_list_problems
 
 # Action codes stored in SimulationReport.action; ACTION_NAMES[code] is the name.
 _SCALE, _MIGRATE, _SUSPEND = 0, 1, 2
@@ -61,16 +61,15 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         problems = []
         if self.horizon <= 0:
-            problems.append(f"{self.label}: horizon must be positive")
+            problems.append("horizon must be positive")
         elif self.horizon > self.trace.span:
-            problems.append(
-                f"{self.label}: horizon {self.horizon}s exceeds trace span {self.trace.span}s"
-            )
-        problems += [f"{self.label}: {problem}"
-                     for problem in cluster_problems(self.cluster, self.initial_node)]
-        if self.tasks is None and self.workload is None:
-            problems.append(f"{self.label}: needs either a workload or a replay task list")
-        return problems
+            problems.append(f"horizon {self.horizon}s exceeds trace span {self.trace.span}s")
+        problems += cluster_problems(self.cluster, self.initial_node)
+        if self.tasks is not None:
+            problems += task_list_problems(self.tasks)
+        elif self.workload is None:
+            problems.append("needs either a workload or a replay task list")
+        return [f"{self.label}: {problem}" for problem in problems]
 
 
 @dataclass
@@ -224,7 +223,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         node_index=node_col,
         finished_tasks=queue.finished_count,
         dropped_tasks=queue.dropped_count,
-        admitted_tasks=queue.admitted_count,
+        admitted_tasks=ai,
         pending_tasks=queue.pending_count,
         budget_spent_g=budget.spent if budget is not None else None,
     )
@@ -236,10 +235,14 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     Each distinct generated workload (parameters, horizon, seed) is generated
     once and its task list handed to every scenario that uses it. Each report
     column byte-identical to an earlier report's is replaced by that array, so
-    the grid keeps one copy of each distinct column.
+    the grid keeps one copy of each distinct column. No config runs unless all
+    are valid: one ScenarioError lists every problem.
     """
     if not configs:
         raise ScenarioError("scenario matrix is empty")
+    problems = [problem for config in configs for problem in config.validate()]
+    if problems:
+        raise ScenarioError("; ".join(problems))
     configs = _with_generated_tasks(configs)
     seen: dict[tuple[str, int], array] = {}
     if workers > 1 and len(configs) > 1:
@@ -270,8 +273,7 @@ def _with_generated_tasks(configs: list[ScenarioConfig]) -> list[ScenarioConfig]
     generated: dict[tuple[DiurnalTraceParams, int, int], list[Task]] = {}
     out = []
     for config in configs:
-        # An invalid config is left for run_scenario to refuse, ungenerated.
-        if config.tasks is None and config.workload is not None and not config.validate():
+        if config.tasks is None:
             key = (config.workload, config.horizon, config.seed)
             if key not in generated:
                 try:
@@ -286,7 +288,5 @@ def _with_generated_tasks(configs: list[ScenarioConfig]) -> list[ScenarioConfig]
 def _run_labelled(config: ScenarioConfig) -> SimulationReport:
     try:
         return run_scenario(config)
-    except ScenarioError:
-        raise
     except Exception as exc:
         raise ScenarioError(f"scenario {config.label!r} failed: {exc}") from exc

@@ -8,7 +8,7 @@ import io
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _COMPLETION_EPS = 1e-9
 
@@ -35,15 +35,31 @@ class Task:
     cu_demand: float
     nominal_runtime: float
     deadline: float
-    total_work: float = 0.0  # CU-seconds, fixed at creation
+    total_work: float = field(init=False)  # CU-seconds: cu_demand * nominal_runtime
 
     def __post_init__(self) -> None:
         if not (self.cu_demand > 0 and self.nominal_runtime > 0):
             raise WorkloadError(f"task {self.id}: demand and runtime must be positive")
         if not self.deadline > self.arrival:
             raise WorkloadError(f"task {self.id}: deadline must be after arrival")
-        if self.total_work == 0.0:
-            self.total_work = self.cu_demand * self.nominal_runtime
+        self.total_work = self.cu_demand * self.nominal_runtime
+
+
+def task_list_problems(tasks: list[Task]) -> list[str]:
+    """[] if `tasks` is sorted by arrival with each id once, else its first bad task's problems."""
+    problems = []
+    seen: set[int] = set()
+    last_arrival = -math.inf
+    for task in tasks:
+        if task.arrival < last_arrival:
+            problems.append(f"task {task.id} arrives out of order")
+        if task.id in seen:
+            problems.append(f"duplicate task id {task.id}")
+        if problems:
+            break
+        seen.add(task.id)
+        last_arrival = task.arrival
+    return problems
 
 
 @dataclass(frozen=True)
@@ -138,45 +154,26 @@ class TaskQueue:
     def __init__(self) -> None:
         self._pending: deque[list] = deque()
         self._deadline_heap: list[tuple[float, int, list]] = []
-        self._seen_ids: set[int] = set()
-        self._last_arrival = -math.inf
         self.pending_count = 0
         self.pending_demand = 0.0  # sum of cu_demand over live pending tasks
         self.finished_count = 0
         self.dropped_count = 0
-        self.admitted_count = 0
-
-    def __len__(self) -> int:
-        return self.pending_count
-
-    def progress(self) -> dict[int, float]:
-        """Work done (CU-seconds) per task id, for every task whose deadline has not been passed."""
-        return {task_id: entry[0] for _, task_id, entry in self._deadline_heap}
 
     def admit(self, tasks: list[Task]) -> None:
-        """Append arrivals in order; arrivals must be sorted and ids unique."""
+        """Append arrivals, unchecked: all tasks admitted must pass `task_list_problems`."""
         for task in tasks:
-            if task.arrival < self._last_arrival:
-                raise WorkloadError(f"task {task.id} arrives out of order")
-            if task.id in self._seen_ids:
-                raise WorkloadError(f"duplicate task id {task.id}")
-            self._seen_ids.add(task.id)
-            self._last_arrival = task.arrival
             cu = task.cu_demand
             entry = [0.0, True, cu, task.total_work]
             self._pending.append(entry)
             heapq.heappush(self._deadline_heap, (task.deadline, task.id, entry))
             self.pending_count += 1
             self.pending_demand += cu
-            self.admitted_count += 1
 
     def step_allocation(self, available_cu: float, now: float) -> tuple[float, int]:
         """Grant up to cu_demand CU per pending task, FIFO, for one 1 s step.
 
-        Returns (used_cu, completions).
+        Returns (used_cu, completions). `available_cu` must be >= 0.
         """
-        if available_cu < 0:
-            raise WorkloadError("available CU must be >= 0")
         used = 0.0
         completions = 0
         remaining = available_cu
@@ -251,28 +248,27 @@ def import_tasks_csv(csv_text: str) -> list[Task]:
     WorkloadError names a malformed line, or a task id that appears twice.
     """
     reader = csv.reader(io.StringIO(csv_text))
-    header = next(reader, [])
-    missing = [name for name in TASK_CSV_COLUMNS if name not in header]
-    if missing:
-        raise WorkloadError(f"task CSV needs columns {list(TASK_CSV_COLUMNS)}, missing {missing}")
-    i_id, i_arrival, i_cu, i_runtime, i_deadline = (header.index(n) for n in TASK_CSV_COLUMNS)
     tasks = []
     append = tasks.append
     try:
-        for row in reader:
-            if not row:
-                continue
-            append(Task(int(row[i_id]), int(float(row[i_arrival])), float(row[i_cu]),
-                        float(row[i_runtime]), float(row[i_deadline])))
+        header = next(reader, [])
+        missing = [name for name in TASK_CSV_COLUMNS if name not in header]
+        if not missing:
+            i_id, i_arrival, i_cu, i_runtime, i_deadline = map(header.index, TASK_CSV_COLUMNS)
+            for row in reader:
+                if not row:
+                    continue
+                append(Task(int(row[i_id]), int(float(row[i_arrival])), float(row[i_cu]),
+                            float(row[i_runtime]), float(row[i_deadline])))
     except IndexError:
         raise WorkloadError(f"line {reader.line_num}: too few fields") from None
     except (ValueError, OverflowError, csv.Error) as exc:
         raise WorkloadError(f"line {reader.line_num}: {exc}") from exc
+    if missing:
+        raise WorkloadError(f"task CSV needs columns {list(TASK_CSV_COLUMNS)}, missing {missing}")
     tasks.sort(key=lambda t: (t.arrival, t.id))
     # Checked once the sort has freed its keys, so the id set does not raise peak memory.
-    seen: set[int] = set()
-    for task in tasks:
-        if task.id in seen:
-            raise WorkloadError(f"duplicate task id {task.id}")
-        seen.add(task.id)
+    problems = task_list_problems(tasks)
+    if problems:
+        raise WorkloadError("; ".join(problems))
     return tasks

@@ -68,7 +68,7 @@ def _pick(specs, here, demand, cap):
 
 def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
               rate=None, budget_total=None, horizon=None):
-    """Returns (powers, emissions) lists, one entry per simulation second."""
+    """Returns (powers, emissions, completions, drops) lists, one entry per simulation second."""
     queue = [NaiveTask(t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline)
              for t in tasks]
     queue.sort(key=lambda nt: (nt.arrival, nt.tid))
@@ -78,15 +78,20 @@ def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
     spent_comp = 0.0
     powers = []
     emissions = []
+    completions = []
+    drops = []
     admitted: list[NaiveTask] = []
     next_task = 0
 
     for t in range(horizon):
         ci_ws = trace_values[t // trace_step] / 3_600_000.0
 
+        dropped = 0
         for task in admitted:
             if task.alive and task.deadline < t:
                 task.alive = False
+                dropped += 1
+        drops.append(dropped)
         while next_task < len(queue) and queue[next_task].arrival <= t:
             admitted.append(queue[next_task])
             next_task += 1
@@ -107,11 +112,13 @@ def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
         if here is None:
             powers.append(0.0)
             emissions.append(0.0)
+            completions.append(0)
             continue
 
         spec = specs[here]
         remaining = u * spec.capacity
         used = 0.0
+        finished = 0
         for task in admitted:
             if remaining <= 1e-12:
                 break
@@ -129,6 +136,7 @@ def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
             if task.total - task.done <= 1e-9:
                 task.done = task.total
                 task.alive = False
+                finished += 1
 
         util = used / spec.capacity
         power = spec.idle_power + (spec.peak_power - spec.idle_power) * util
@@ -140,6 +148,7 @@ def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
             spent = tmp
         powers.append(power)
         emissions.append(emission)
+        completions.append(finished)
         admitted = [task for task in admitted if task.alive]
 
-    return powers, emissions
+    return powers, emissions, completions, drops

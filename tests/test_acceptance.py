@@ -170,24 +170,42 @@ def test_criterion_5_variable_grid_benefit(capsys):
     assert ok
 
 
+def replay_like_blueprint(rng):
+    """Task fields in a replay's order, sorted by (arrival, id): ids out of arrival order,
+    deadlines on a 50 s grid so they tie, and a task that arrives and expires before 0."""
+    n = rng.randrange(20, 200)
+    ids = rng.sample(range(3 * n), n)
+    rows = [(ids[0], -20, rng.randrange(1, 7), rng.randrange(1, 16), -5.0)]
+    for tid in ids[1:]:
+        arrival = rng.randrange(0, 900)
+        runtime = rng.randrange(1, 16)
+        deadline = (arrival + runtime + rng.randrange(10, 300)) // 50 * 50 + 50
+        rows.append((tid, arrival, rng.randrange(1, 7), runtime, deadline))
+    return sorted(rows, key=lambda row: (row[1], row[0]))
+
+
 def test_criterion_6_oracle_equivalence(capsys):
     rng = random.Random(99)
+    replay_rng = random.Random(7)  # its own stream, so the generated runs stay as they were
     clusters = [(SMALL,), (SMALL, MEDIUM), (MEDIUM, LARGE), (SMALL, MEDIUM, LARGE)]
     scenarios = 0
-    for i in range(15):
+    for i in range(20):
         horizon = 1000
         values = tuple(0.0 if rng.random() < 0.15 else rng.uniform(10.0, 1200.0)
                        for _ in range(10))
         trace = CarbonIntensityTrace(f"o{i}", 0, 100, values)
         cluster = rng.choice(clusters)
         initial = rng.choice(cluster).name
-        arrivals = sorted(rng.randrange(0, 900) for _ in range(rng.randrange(20, 200)))
-        blueprint = []
-        for tid, arrival in enumerate(arrivals):
-            cu = rng.randrange(1, 7)
-            runtime = rng.randrange(1, 16)
-            blueprint.append((tid, arrival, cu, runtime,
-                              arrival + runtime + rng.randrange(10, 300)))
+        if i < 15:
+            arrivals = sorted(rng.randrange(0, 900) for _ in range(rng.randrange(20, 200)))
+            blueprint = []
+            for tid, arrival in enumerate(arrivals):
+                cu = rng.randrange(1, 7)
+                runtime = rng.randrange(1, 16)
+                blueprint.append((tid, arrival, cu, runtime,
+                                  arrival + runtime + rng.randrange(10, 300)))
+        else:
+            blueprint = replay_like_blueprint(replay_rng)
         for policy in (PolicySpec("unlimited"),
                        PolicySpec("fixed", rate_g_per_s=rng.uniform(0.001, 0.05)),
                        PolicySpec("greedy_budget", budget_total_g=rng.uniform(0.5, 50.0))):
@@ -196,7 +214,7 @@ def test_criterion_6_oracle_equivalence(capsys):
             report = run_scenario(make_config(
                 f"o{i}_{policy.kind}", trace, horizon, policy, tasks=tasks,
                 cluster=cluster, initial=initial))
-            powers, emissions = naive_run(
+            powers, emissions, completions, drops = naive_run(
                 values, 100, cluster, initial,
                 [Task(*fields) for fields in blueprint], policy.kind,
                 rate=policy.rate_g_per_s, budget_total=policy.budget_total_g,
@@ -206,8 +224,10 @@ def test_criterion_6_oracle_equivalence(capsys):
                     f"{report.label}: power differs at t={t}"
                 assert report.emission_g[t] == emissions[t], \
                     f"{report.label}: emission differs at t={t}"
+            assert list(report.completions) == completions, f"{report.label}: completions differ"
+            assert list(report.drops) == drops, f"{report.label}: drops differ"
             scenarios += 1
-    ok = scenarios == 45
+    ok = scenarios == 60
     announce(capsys, 6, ok, f"{scenarios} runs match the naive evaluator bit-for-bit")
     assert ok
 

@@ -177,6 +177,20 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             run_scenario(config)
 
+    @pytest.mark.parametrize("tasks, problem", [
+        ([Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100)], "task 1 arrives out of order"),
+        ([Task(i, i, 1, 5, 100) for i in range(50)] + [Task(0, 60, 1, 5, 100)],
+         "duplicate task id 0"),
+    ], ids=["out_of_order", "duplicate_id_at_the_end"])
+    def test_bad_task_list_refused_before_step_0(self, monkeypatch, tasks, problem):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(embudget.engine, "choose_option", no_step)
+        config = make_config("bad", constant_trace(100.0), 100, UNLIMITED, tasks=tasks)
+        with pytest.raises(ScenarioError, match=f"^bad: {problem}$"):
+            run_scenario(config)
+
     def test_policy_spec_validation(self):
         with pytest.raises(ScenarioError):
             PolicySpec("fixed")
@@ -194,6 +208,28 @@ class TestRunMatrix:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ScenarioError):
             run_matrix([])
+
+    def test_invalid_grid_refused_before_any_run(self, monkeypatch):
+        labels = []
+        run = embudget.engine.run_scenario
+
+        def recording_run(config):
+            labels.append(config.label)
+            return run(config)
+
+        monkeypatch.setattr(embudget.engine, "run_scenario", recording_run)
+        trace = constant_trace(100.0, hours=1)
+        configs = [
+            make_config("good", trace, 600, UNLIMITED, workload=simple_workload()),
+            make_config("too_long", trace, 7200, UNLIMITED, workload=simple_workload()),
+            make_config("twice", trace, 600, UNLIMITED,
+                        tasks=[Task(0, 0, 1, 5, 100), Task(0, 60, 1, 5, 100)]),
+        ]
+        with pytest.raises(ScenarioError) as refused:
+            run_matrix(configs)
+        assert str(refused.value) == ("too_long: horizon 7200s exceeds trace span 3600s; "
+                                      "twice: duplicate task id 0")
+        assert labels == []
 
     def test_identical_configs_identical_reports(self):
         trace = constant_trace(300.0)

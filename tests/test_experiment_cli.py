@@ -132,6 +132,7 @@ REPLAY_DEFECTS = {
     "short": (TASKS_HEADER_AND_ROW + "1,1,2.0\n", "line 3: too few fields"),
     "duplicate_id": (TASKS_HEADER_AND_ROW + "0,1,2.0,5.0,61\n", "duplicate task id 0"),
     "nan_cu": (TASKS_HEADER_AND_ROW + "1,1,nan,5.0,61\n", "line 3: task 1: demand and runtime"),
+    "huge_header": ("id," + "9" * 200_000 + "\n", "line 1: field larger than field limit"),
 }
 
 # Trace file -> the problem its line 3 has.
@@ -141,6 +142,7 @@ TRACE_DEFECTS = {
     "short_row": ("intensity,timestamp\n120,2024-01-01T00:00:00Z\n340\n"
                   "210,2024-01-01T02:00:00Z\n", "fewer cells than the header"),
     "huge_cell": (TRACE_CSV.replace(",340", "," + "9" * 200_000), "field larger than field limit"),
+    "bad_timestamp": (TRACE_CSV.replace("2024-01-01T01:00:00Z", "bogus"), "bad timestamp 'bogus'"),
 }
 
 

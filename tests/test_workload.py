@@ -11,6 +11,7 @@ from embudget.workload import (
     export_tasks_csv,
     generate_diurnal_trace,
     import_tasks_csv,
+    task_list_problems,
 )
 
 
@@ -72,22 +73,29 @@ class TestGenerator:
         assert p.rate_at(86400 - 1800) == pytest.approx(p.rate_at(1800))
 
 
+class TestTaskListProblems:
+    def test_generated_list_is_clean(self):
+        assert task_list_problems(generate_diurnal_trace(params(base=0.7), 300, 5)) == []
+
+    def test_first_bad_task_named(self):
+        late = [Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100), Task(2, 1, 1, 5, 100)]
+        assert task_list_problems(late) == ["task 1 arrives out of order"]
+        twice = [Task(7, 0, 1, 5, 100), Task(7, 3, 1, 5, 100), Task(8, 4, 1, 5, 100)]
+        assert task_list_problems(twice) == ["duplicate task id 7"]
+        assert task_list_problems([Task(7, 5, 1, 5, 100), Task(7, 3, 1, 5, 100)]) == [
+            "task 7 arrives out of order", "duplicate task id 7"]
+
+
 class TestAdmit:
     def test_three_arrivals(self):
         q = TaskQueue()
         q.admit([Task(i, i, 1, 5, 100) for i in range(3)])
-        assert len(q) == 3
+        assert q.pending_count == 3
 
-    def test_out_of_order_rejected(self):
-        q = TaskQueue()
-        with pytest.raises(WorkloadError):
-            q.admit([Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100)])
-
-    def test_duplicate_id_rejected(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 1, 5, 100)])
-        with pytest.raises(WorkloadError):
-            q.admit([Task(0, 1, 1, 5, 100)])
+    def test_total_work_is_derived(self):
+        assert Task(0, 0, 2, 5, 100).total_work == 10.0
+        with pytest.raises(TypeError):
+            Task(0, 0, 2, 5, 100, 3.0)
 
     @pytest.mark.parametrize("fields", [(math.nan, 5, 100), (1, math.nan, 100), (1, 5, math.nan)],
                              ids=["cu", "runtime", "deadline"])
@@ -98,7 +106,7 @@ class TestAdmit:
     def test_zero_arrivals(self):
         q = TaskQueue()
         q.admit([])
-        assert len(q) == 0
+        assert q.pending_count == 0
 
 
 class TestStepAllocation:
@@ -130,11 +138,11 @@ class TestStepAllocation:
     def test_fifo_front_first(self):
         q = TaskQueue()
         q.admit([Task(0, 0, 4, 2, 1000), Task(1, 0, 4, 2, 1000)])
-        used, _ = q.step_allocation(6.0, 0)
-        assert used == 6.0
-        progress = q.progress()
-        assert progress[0] == 4.0  # front got its full demand
-        assert progress[1] == 2.0  # leftover only
+        # The front gets its full 4 CU and the second the 2 left over, so the
+        # front finishes at the next step and the second one step later.
+        steps = [q.step_allocation(6.0, step) for step in range(3)]
+        assert steps == [(6.0, 0), (6.0, 1), (4.0, 1)]
+        assert q.finished_count == 2
 
     def test_capacity_respected(self):
         q = TaskQueue()
@@ -147,10 +155,13 @@ class TestStepAllocation:
         tasks = [Task(i, 0, 2, 7, 1000) for i in range(4)]
         q.admit(tasks)
         granted = 0.0
+        completed = 0
         for step in range(20):
-            used, _ = q.step_allocation(3.0, step)
+            used, done = q.step_allocation(3.0, step)
             granted += used
-        assert granted == pytest.approx(sum(q.progress().values()))
+            completed += done
+        assert completed == q.finished_count == len(tasks)
+        assert granted == pytest.approx(sum(t.total_work for t in tasks))
 
 
 class TestDropExpired:
@@ -158,13 +169,13 @@ class TestDropExpired:
         q = TaskQueue()
         q.admit([Task(0, 0, 1, 5, 100)])
         assert q.drop_expired(101) == 1
-        assert q.dropped_count == 1 and len(q) == 0
+        assert q.dropped_count == 1 and q.pending_count == 0
 
     def test_boundary_kept_inclusive(self):
         q = TaskQueue()
         q.admit([Task(0, 0, 1, 5, 100)])
         assert q.drop_expired(100) == 0
-        assert len(q) == 1
+        assert q.pending_count == 1
 
     def test_empty_queue(self):
         q = TaskQueue()
@@ -200,7 +211,7 @@ class TestAccountingClosure:
                 i += 1
             q.admit(batch)
             q.step_allocation(float(avail), t)
-            assert q.finished_count + q.dropped_count + len(q) == q.admitted_count
+            assert q.finished_count + q.dropped_count + q.pending_count == i
 
 
 class TestCsvRoundTrip:
