@@ -135,6 +135,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     # Each policy is a per-second allowance in grams; the budget's changes every step.
     fixed_allowance = policy.rate_g_per_s if policy.kind == "fixed" else math.inf
 
+    # A cap at or above every node's peak lets each node run at full utilization,
+    # exactly as no cap does, so such caps plan as inf and share its decisions.
+    cap_free = max(spec.peak_power for spec in specs)
+
     trace_values = config.trace.values
     trace_step = config.trace.step
 
@@ -159,6 +163,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     ai = 0
     batch: list[Task] = []
     ci_ws = 0.0
+    # The plan phase is a pure function of (node, demand, cap): while the cap is
+    # unchanged, each distinct (cur_idx, demand) is planned once.
+    plans: dict[tuple[int | None, float], tuple[int | None, float]] = {}
+    plans_cap: float | None = None
 
     for t in range(horizon):
         if t % trace_step == 0:
@@ -175,7 +183,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         demand = queue.pending_demand
         allowance = budget.greedy_allowance(t) if budget is not None else fixed_allowance
         cap = allowance / ci_ws if ci_ws > 0.0 else inf
-        idx, planned_u = choose_option(specs, cur_idx, demand, cap)
+        if cap >= cap_free:
+            cap = inf
+        if cap != plans_cap:
+            plans = {}
+            plans_cap = cap
+        key = (cur_idx, demand)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = choose_option(specs, cur_idx, demand, cap)
+        idx, planned_u = plan
 
         if idx is None:
             cur_idx = None

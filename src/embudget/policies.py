@@ -35,15 +35,16 @@ def choose_option(specs: Sequence[NodeSpec], current_index: int | None,
         if power_cap < idle:
             continue
         span = spec.peak_power - idle
-        u_cap = (power_cap - idle) / span
-        if u_cap > 1.0:
-            u_cap = 1.0
         capacity = spec.capacity
         u = demand / capacity
         if u > 1.0:
             u = 1.0
-        if u > u_cap:
-            u = u_cap
+        # Rounding is monotone and span / span == 1, so (power_cap - idle) / span
+        # is at most 1 below peak (no clamp needed) and at least 1 from peak up.
+        if power_cap < spec.peak_power:
+            u_cap = (power_cap - idle) / span
+            if u > u_cap:
+                u = u_cap
         served = u * capacity
         power = idle + span * u
         if i == current_index:

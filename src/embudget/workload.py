@@ -46,19 +46,26 @@ class Task:
 
 
 def task_list_problems(tasks: list[Task]) -> list[str]:
-    """[] if `tasks` is sorted by arrival with each id once, else its first bad task's problems."""
+    """[] if `tasks` is in (arrival, id) order with each id once, else its first bad task's problems.
+
+    Tasks arriving in the same second are admitted in list order, so the rule
+    fixes that order to the one import_tasks_csv gives.
+    """
     problems = []
     seen: set[int] = set()
     last_arrival = -math.inf
+    last_id = 0
     for task in tasks:
-        if task.arrival < last_arrival:
-            problems.append(f"task {task.id} arrives out of order")
-        if task.id in seen:
-            problems.append(f"duplicate task id {task.id}")
+        arrival, tid = task.arrival, task.id
+        # (arrival, tid) < (last_arrival, last_id), without building the tuples.
+        if arrival <= last_arrival and (arrival < last_arrival or tid < last_id):
+            problems.append(f"task {tid} arrives out of order")
+        if tid in seen:
+            problems.append(f"duplicate task id {tid}")
         if problems:
             break
-        seen.add(task.id)
-        last_arrival = task.arrival
+        seen.add(tid)
+        last_arrival, last_id = arrival, tid
     return problems
 
 

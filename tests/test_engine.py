@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 from array import array
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 import embudget.engine
 
 from conftest import constant_trace, make_config, simple_workload
-from embudget.carbon import CarbonIntensityTrace
-from embudget.cluster import MEDIUM
+from embudget.carbon import WS_PER_KWH, CarbonIntensityTrace
+from embudget.cluster import LARGE, MEDIUM, PRESETS
 from embudget.engine import (
     ACTION_NAMES,
     REPORT_COLUMNS,
@@ -20,6 +21,7 @@ from embudget.engine import (
     run_scenario,
 )
 from embudget.workload import Task
+from oracle import naive_run
 
 EXACT_RATE = 10_080.0 / 604_800.0
 
@@ -181,7 +183,8 @@ class TestValidation:
         ([Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100)], "task 1 arrives out of order"),
         ([Task(i, i, 1, 5, 100) for i in range(50)] + [Task(0, 60, 1, 5, 100)],
          "duplicate task id 0"),
-    ], ids=["out_of_order", "duplicate_id_at_the_end"])
+        ([Task(1, 0, 4, 3, 6.0), Task(0, 0, 4, 1, 6.0)], "task 0 arrives out of order"),
+    ], ids=["out_of_order", "duplicate_id_at_the_end", "tie_out_of_id_order"])
     def test_bad_task_list_refused_before_step_0(self, monkeypatch, tasks, problem):
         def no_step(*args):
             raise AssertionError("a step ran")
@@ -285,6 +288,62 @@ class TestColumnSharing:
         nan = _share_columns(replace(report, power_w=array("d", [math.nan])), seen)
         same_nan = _share_columns(replace(report, power_w=array("d", [math.nan])), seen)
         assert same_nan.power_w is nan.power_w
+
+
+class TestPlanMemo:
+    @pytest.fixture
+    def plan_inputs(self, monkeypatch):
+        """(node, demand, cap) of every choose_option call run_scenario makes."""
+        calls = []
+        choose = embudget.engine.choose_option
+
+        def counting_choose(specs, cur, demand, cap):
+            calls.append((cur, demand, cap))
+            return choose(specs, cur, demand, cap)
+
+        monkeypatch.setattr(embudget.engine, "choose_option", counting_choose)
+        return calls
+
+    # Unlimited, and a fixed rate whose cap on this trace (>= 1440 W) tops every
+    # node's peak, both plan with no cap on every step.
+    @pytest.mark.parametrize("policy", [UNLIMITED, PolicySpec("fixed", rate_g_per_s=0.2)],
+                             ids=["unlimited", "fixed_above_peak"])
+    def test_cap_free_run_plans_once_per_distinct_input(self, plan_inputs, policy):
+        trace = CarbonIntensityTrace("v", 0, 100, (500.0, 80.0, 0.0, 320.0, 160.0, 410.0))
+        config = make_config("memo", trace, 600, policy,
+                             tasks=saturating_tasks(n=10, runtime=1000.0))
+        report = run_scenario(config)
+        assert set(report.queued_demand) == {50.0}
+        inputs = [(cur, demand) for cur, demand, _ in plan_inputs]
+        assert len(inputs) == len(set(inputs)) <= len(config.cluster)
+        assert {cap for _, _, cap in plan_inputs} == {math.inf}
+
+    @pytest.mark.parametrize("policy", [PolicySpec("fixed", rate_g_per_s=0.05),
+                                        PolicySpec("greedy_budget", budget_total_g=50.0)],
+                             ids=["fixed", "budget"])
+    def test_cap_crossing_the_highest_peak_matches_oracle(self, policy):
+        # At 0.05 g/s the fixed cap is 600 W at 300 g/kWh, 1800 W at 100 and exactly
+        # LARGE's 1200 W peak at 150; it goes back to 600 W after each excursion.
+        values = (300.0, 100.0, 300.0, 150.0, 0.0, 300.0, 900.0, 300.0, 120.0, 300.0)
+        caps = [0.05 / (ci / WS_PER_KWH) for ci in values if ci > 0.0]
+        assert min(caps) < LARGE.peak_power <= max(caps)
+        rng = random.Random(3)
+        arrivals = sorted(rng.randrange(0, 900) for _ in range(900))
+        blueprint = [(tid, arrival, rng.randrange(1, 13), rng.randrange(1, 41),
+                      arrival + rng.randrange(40, 300)) for tid, arrival in enumerate(arrivals)]
+        cluster = PRESETS["default"]
+        report = run_scenario(make_config(
+            "cross", CarbonIntensityTrace("cross", 0, 100, values), 1000, policy,
+            tasks=[Task(*fields) for fields in blueprint], cluster=cluster))
+        powers, emissions, completions, drops = naive_run(
+            values, 100, cluster, "medium", [Task(*fields) for fields in blueprint],
+            policy.kind, rate=policy.rate_g_per_s, budget_total=policy.budget_total_g,
+            horizon=1000)
+        assert list(report.power_w) == powers
+        assert list(report.emission_g) == emissions
+        assert list(report.completions) == completions
+        assert list(report.drops) == drops
+        assert report.finished_tasks > 0 and report.dropped_tasks > 0
 
 
 class TestDeterminism:
