@@ -21,7 +21,7 @@ from .policies import choose_option
 from .reporting import SummaryRow, aggregate, summarize, summary_csv, trace_cv
 from .workload import (
     DiurnalTraceParams,
-    Task,
     TaskQueue,
+    TaskTable,
     generate_diurnal_trace,
 )

@@ -11,7 +11,7 @@ from .budget import EmissionsBudget
 from .carbon import WS_PER_KWH, CarbonIntensityTrace
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .policies import choose_option
-from .workload import DiurnalTraceParams, Task, TaskQueue, generate_diurnal_trace, task_list_problems
+from .workload import DiurnalTraceParams, TaskQueue, TaskTable, generate_diurnal_trace
 
 # Action codes stored in SimulationReport.action; ACTION_NAMES[code] is the name.
 _SCALE, _MIGRATE, _SUSPEND = 0, 1, 2
@@ -54,9 +54,9 @@ class ScenarioConfig:
     initial_node: str = "medium"
     workload: DiurnalTraceParams | None = None
     seed: int = 0
-    # Task list to run, replayed or generated; read-only, so scenarios may share one.
-    # None: run_scenario generates it from `workload`.
-    tasks: list[Task] | None = None
+    # Tasks to run, replayed or generated; read-only, so scenarios may share one.
+    # None: run_scenario generates them from `workload`.
+    tasks: TaskTable | None = None
 
     def validate(self) -> list[str]:
         problems = []
@@ -66,7 +66,8 @@ class ScenarioConfig:
             problems.append(f"horizon {self.horizon}s exceeds trace span {self.trace.span}s")
         problems += cluster_problems(self.cluster, self.initial_node)
         if self.tasks is not None:
-            problems += task_list_problems(self.tasks)
+            if not isinstance(self.tasks, TaskTable):
+                problems.append("tasks must be a TaskTable")
         elif self.workload is None:
             problems.append("needs either a workload or a replay task list")
         return [f"{self.label}: {problem}" for problem in problems]
@@ -118,9 +119,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     if problems:
         raise ScenarioError("; ".join(problems))
 
-    if config.tasks is not None:
-        tasks = config.tasks
-    else:
+    tasks = config.tasks
+    if tasks is None:
         tasks = generate_diurnal_trace(config.workload, config.horizon, config.seed)
 
     specs = tuple(config.cluster)
@@ -142,7 +142,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     trace_values = config.trace.values
     trace_step = config.trace.step
 
-    queue = TaskQueue()
+    queue = TaskQueue(tasks)
     admit = queue.admit
     allocate = queue.step_allocation
     drop = queue.drop_expired
@@ -159,9 +159,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     node_col = array("b", [0]) * horizon
 
     inf = math.inf
-    ntasks = len(tasks)
+    arrivals = tasks.arrival
+    ntasks = len(arrivals)
     ai = 0
-    batch: list[Task] = []
     ci_ws = 0.0
     # The plan phase is a pure function of (node, demand, cap): while the cap is
     # unchanged, each distinct (cur_idx, demand) is planned once.
@@ -173,12 +173,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             ci_ws = trace_values[t // trace_step] / WS_PER_KWH
 
         dropped = drop(t)
-        while ai < ntasks and tasks[ai].arrival <= t:
-            batch.append(tasks[ai])
+        start = ai
+        while ai < ntasks and arrivals[ai] <= t:
             ai += 1
-        if batch:
-            admit(batch)
-            batch.clear()
+        if ai > start:
+            admit(range(start, ai))
 
         demand = queue.pending_demand
         allowance = budget.greedy_allowance(t) if budget is not None else fixed_allowance
@@ -250,7 +249,7 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     """Run scenarios independently; output order matches input order.
 
     Each distinct generated workload (parameters, horizon, seed) is generated
-    once and its task list handed to every scenario that uses it. Each report
+    once and its task table handed to every scenario that uses it. Each report
     column byte-identical to an earlier report's is replaced by that array, so
     the grid keeps one copy of each distinct column. No config runs unless all
     are valid: one ScenarioError lists every problem.
@@ -286,8 +285,8 @@ def _share_columns(report: SimulationReport,
 
 
 def _with_generated_tasks(configs: list[ScenarioConfig]) -> list[ScenarioConfig]:
-    """Copies of `configs` in which every generated workload is already a task list."""
-    generated: dict[tuple[DiurnalTraceParams, int, int], list[Task]] = {}
+    """Copies of `configs` in which every generated workload is already a task table."""
+    generated: dict[tuple[DiurnalTraceParams, int, int], TaskTable] = {}
     out = []
     for config in configs:
         if config.tasks is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from .carbon import (
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
 from .reporting import DEFAULT_PRICES_EUR_PER_TON
-from .workload import DiurnalTraceParams, Task, import_tasks_csv
+from .workload import DiurnalTraceParams, TaskTable, import_tasks_csv
 
 _POLICY_ALIASES = {
     "unlimited": "unlimited",
@@ -59,10 +60,10 @@ class Experiment:
     seed: int
     policies: list[tuple[str, PolicySpec]]  # (label prefix, spec)
     # Filled by the check pass: each trace that loaded, by label; the replayed
-    # task list (None when the workload is generated or the replay did not
+    # task table (None when the workload is generated or the replay did not
     # load); and every reason a run would not start.
     traces: dict[str, CarbonIntensityTrace] = field(default_factory=dict)
-    tasks: list[Task] | None = None
+    tasks: TaskTable | None = None
     problems: list[str] = field(default_factory=list)
 
 
@@ -195,6 +196,8 @@ def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
     if ref.start_epoch is not None or ref.days is not None:
         start = ref.start_epoch if ref.start_epoch is not None else trace.start_epoch
         if ref.days is not None:
+            if not 0 < ref.days < math.inf:
+                raise ValueError(f"days must be finite and positive, not {ref.days}")
             end = start + int(ref.days * 86400)
         else:
             end = trace.end_epoch
@@ -222,7 +225,7 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
     for ref in trace_refs:
         try:
             trace = experiment.traces[ref.label] = load_trace(ref)
-        except (OSError, ValueError) as exc:  # ValueError: TraceError, bad encoding, nan days
+        except (OSError, ValueError) as exc:  # ValueError: TraceError or bad encoding
             problems.append(f"trace {ref.label}: {exc}")
             continue
         horizon = experiment.horizon if experiment.horizon is not None else trace.span

@@ -8,7 +8,7 @@ import io
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _COMPLETION_EPS = 1e-9
 
@@ -22,51 +22,51 @@ class WorkloadError(ValueError):
     pass
 
 
-@dataclass(slots=True)
-class Task:
-    """Unit of work needing cu_demand CU for nominal_runtime seconds before its deadline.
+def _check_row(tid, arrival, cu, runtime, deadline) -> None:
+    """The row rule: finite positive demand and runtime, deadline after arrival."""
+    if not (0 < cu < math.inf and 0 < runtime < math.inf):
+        raise WorkloadError(f"task {tid}: demand and runtime must be positive and finite")
+    if not deadline > arrival:
+        raise WorkloadError(f"task {tid}: deadline must be after arrival")
 
-    Read-only once made: a TaskQueue keeps each task's progress in its own entry,
-    so one task list can feed any number of scenarios.
+
+class TaskTable:
+    """A task list as read-only columns, in TASK_CSV_COLUMNS order, checked when made.
+
+    Each row passes the row rule; rows are in (arrival, id) order, the order in
+    which same-second arrivals are admitted, and each id appears once.
     """
 
-    id: int
-    arrival: int
-    cu_demand: float
-    nominal_runtime: float
-    deadline: float
-    total_work: float = field(init=False)  # CU-seconds: cu_demand * nominal_runtime
+    __slots__ = TASK_CSV_COLUMNS
 
-    def __post_init__(self) -> None:
-        if not (self.cu_demand > 0 and self.nominal_runtime > 0):
-            raise WorkloadError(f"task {self.id}: demand and runtime must be positive")
-        if not self.deadline > self.arrival:
-            raise WorkloadError(f"task {self.id}: deadline must be after arrival")
-        self.total_work = self.cu_demand * self.nominal_runtime
+    def __init__(self, rows) -> None:
+        columns = ([], [], [], [], [])
+        add_id, add_arrival, add_cu, add_runtime, add_deadline = (c.append for c in columns)
+        seen: set[int] = set()
+        last_arrival, last_id = -math.inf, 0
+        for tid, arrival, cu, runtime, deadline in rows:
+            _check_row(tid, arrival, cu, runtime, deadline)
+            # (arrival, tid) < (last_arrival, last_id), without building the tuples.
+            late = arrival <= last_arrival and (arrival < last_arrival or tid < last_id)
+            if late or tid in seen:
+                problems = [f"task {tid} arrives out of order"] if late else []
+                if tid in seen:
+                    problems.append(f"duplicate task id {tid}")
+                raise WorkloadError("; ".join(problems))
+            seen.add(tid)
+            last_arrival, last_id = arrival, tid
+            add_id(tid)
+            add_arrival(arrival)
+            add_cu(cu)
+            add_runtime(runtime)
+            add_deadline(deadline)
+        self.id, self.arrival, self.cu, self.runtime, self.deadline = map(tuple, columns)
 
+    def __len__(self) -> int:
+        return len(self.id)
 
-def task_list_problems(tasks: list[Task]) -> list[str]:
-    """[] if `tasks` is in (arrival, id) order with each id once, else its first bad task's problems.
-
-    Tasks arriving in the same second are admitted in list order, so the rule
-    fixes that order to the one import_tasks_csv gives.
-    """
-    problems = []
-    seen: set[int] = set()
-    last_arrival = -math.inf
-    last_id = 0
-    for task in tasks:
-        arrival, tid = task.arrival, task.id
-        # (arrival, tid) < (last_arrival, last_id), without building the tuples.
-        if arrival <= last_arrival and (arrival < last_arrival or tid < last_id):
-            problems.append(f"task {tid} arrives out of order")
-        if tid in seen:
-            problems.append(f"duplicate task id {tid}")
-        if problems:
-            break
-        seen.add(tid)
-        last_arrival, last_id = arrival, tid
-    return problems
+    def __iter__(self):
+        return zip(self.id, self.arrival, self.cu, self.runtime, self.deadline)
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ class DiurnalTraceParams:
             raise WorkloadError("peak times must lie within one day")
         if not self.peak_width > 0:
             raise WorkloadError("peak width must be positive")
-        # Every generated task must be a valid Task: positive demand and runtime,
-        # deadline after arrival.
-        if not (self.task_cu > 0 and self.task_runtime > 0):
-            raise WorkloadError("task CU and runtime must be positive")
+        # Every generated task must pass the row rule: finite positive demand and
+        # runtime, deadline after arrival.
+        if not (0 < self.task_cu < math.inf and 0 < self.task_runtime < math.inf):
+            raise WorkloadError("task CU and runtime must be positive and finite")
         if not self.deadline_slack >= 0:
             raise WorkloadError("deadline slack must be >= 0")
         if not (0 <= self.cu_jitter < 1 and 0 <= self.runtime_jitter < 1):
@@ -115,7 +115,7 @@ class DiurnalTraceParams:
         return rate
 
 
-def generate_diurnal_trace(params: DiurnalTraceParams, horizon: int, seed: int) -> list[Task]:
+def generate_diurnal_trace(params: DiurnalTraceParams, horizon: int, seed: int) -> TaskTable:
     """Deterministic arrival realization: emit a task whenever the integrated rate crosses an integer.
 
     The seed only affects the optional per-task cu/runtime jitter; arrival times are
@@ -123,8 +123,10 @@ def generate_diurnal_trace(params: DiurnalTraceParams, horizon: int, seed: int) 
     """
     if horizon <= 0:
         raise WorkloadError("horizon must be positive")
-    rng = random.Random(seed)
-    tasks: list[Task] = []
+    return TaskTable(_diurnal_rows(params, horizon, random.Random(seed)))
+
+
+def _diurnal_rows(params: DiurnalTraceParams, horizon: int, rng: random.Random):
     acc = 0.0
     next_id = 0
     for t in range(horizon):
@@ -137,47 +139,42 @@ def generate_diurnal_trace(params: DiurnalTraceParams, horizon: int, seed: int) 
                 cu *= 1.0 + rng.uniform(-params.cu_jitter, params.cu_jitter)
             if params.runtime_jitter > 0:
                 runtime *= 1.0 + rng.uniform(-params.runtime_jitter, params.runtime_jitter)
-            tasks.append(Task(
-                id=next_id,
-                arrival=t,
-                cu_demand=cu,
-                nominal_runtime=runtime,
-                deadline=t + runtime + params.deadline_slack,
-            ))
+            yield next_id, t, cu, runtime, t + runtime + params.deadline_slack
             next_id += 1
-    return tasks
 
 
 class TaskQueue:
-    """FIFO queue with accumulated-work progress and deadline-based drops.
+    """FIFO queue over one TaskTable, with accumulated-work progress and deadline-based drops.
 
     The queue keeps each admitted task's progress in its own entry,
-    [work_done, live, cu_demand, total_work], and never writes to the Task,
-    so scenarios can share one task list. The FIFO deque and the
-    deadline heap hold the same entries; `live` is False once the task has
-    finished or been dropped.
+    [work_done, live, cu, total_work], and never writes to the table, so
+    scenarios can share one table. The FIFO deque and the deadline heap hold
+    the same entries; `live` is False once the task has finished or been
+    dropped.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, table: TaskTable) -> None:
+        self._table = table
         self._pending: deque[list] = deque()
         self._deadline_heap: list[tuple[float, int, list]] = []
         self.pending_count = 0
-        self.pending_demand = 0.0  # sum of cu_demand over live pending tasks
+        self.pending_demand = 0.0  # sum of cu over live pending tasks
         self.finished_count = 0
         self.dropped_count = 0
 
-    def admit(self, tasks: list[Task]) -> None:
-        """Append arrivals, unchecked: all tasks admitted must pass `task_list_problems`."""
-        for task in tasks:
-            cu = task.cu_demand
-            entry = [0.0, True, cu, task.total_work]
+    def admit(self, positions: range) -> None:
+        """Append the tasks at `positions` of the table, in order."""
+        table = self._table
+        for i in positions:
+            cu = table.cu[i]
+            entry = [0.0, True, cu, cu * table.runtime[i]]
             self._pending.append(entry)
-            heapq.heappush(self._deadline_heap, (task.deadline, task.id, entry))
+            heapq.heappush(self._deadline_heap, (table.deadline[i], table.id[i], entry))
             self.pending_count += 1
             self.pending_demand += cu
 
     def step_allocation(self, available_cu: float, now: float) -> tuple[float, int]:
-        """Grant up to cu_demand CU per pending task, FIFO, for one 1 s step.
+        """Grant each pending task up to its cu, FIFO, for one 1 s step.
 
         Returns (used_cu, completions). `available_cu` must be >= 0.
         """
@@ -239,43 +236,40 @@ class TaskQueue:
         return dropped
 
 
-def export_tasks_csv(tasks: list[Task]) -> str:
+def export_tasks_csv(tasks: TaskTable) -> str:
     """Serialize a task trace so identical workloads can be replayed elsewhere."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(TASK_CSV_COLUMNS)
-    for t in tasks:
-        writer.writerow([t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline])
+    writer.writerows(tasks)
     return out.getvalue()
 
 
-def import_tasks_csv(csv_text: str) -> list[Task]:
-    """Tasks of a task CSV, sorted by (arrival, id).
+def import_tasks_csv(csv_text: str) -> TaskTable:
+    """The task table of a task CSV, its rows sorted by (arrival, id).
 
     WorkloadError names a malformed line, or a task id that appears twice.
     """
     reader = csv.reader(io.StringIO(csv_text))
-    tasks = []
-    append = tasks.append
+    rows = []
+    append = rows.append
     try:
         header = next(reader, [])
         missing = [name for name in TASK_CSV_COLUMNS if name not in header]
         if not missing:
             i_id, i_arrival, i_cu, i_runtime, i_deadline = map(header.index, TASK_CSV_COLUMNS)
-            for row in reader:
-                if not row:
+            for line in reader:
+                if not line:
                     continue
-                append(Task(int(row[i_id]), int(float(row[i_arrival])), float(row[i_cu]),
-                            float(row[i_runtime]), float(row[i_deadline])))
+                row = (int(line[i_id]), int(float(line[i_arrival])), float(line[i_cu]),
+                       float(line[i_runtime]), float(line[i_deadline]))
+                _check_row(*row)
+                append(row)
     except IndexError:
         raise WorkloadError(f"line {reader.line_num}: too few fields") from None
     except (ValueError, OverflowError, csv.Error) as exc:
         raise WorkloadError(f"line {reader.line_num}: {exc}") from exc
     if missing:
         raise WorkloadError(f"task CSV needs columns {list(TASK_CSV_COLUMNS)}, missing {missing}")
-    tasks.sort(key=lambda t: (t.arrival, t.id))
-    # Checked once the sort has freed its keys, so the id set does not raise peak memory.
-    problems = task_list_problems(tasks)
-    if problems:
-        raise WorkloadError("; ".join(problems))
-    return tasks
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return TaskTable(rows)

@@ -69,8 +69,7 @@ def _pick(specs, here, demand, cap):
 def naive_run(trace_values, trace_step, specs, initial_name, tasks, policy_kind,
               rate=None, budget_total=None, horizon=None):
     """Returns (powers, emissions, completions, drops) lists, one entry per simulation second."""
-    queue = [NaiveTask(t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline)
-             for t in tasks]
+    queue = [NaiveTask(*row) for row in tasks]
     queue.sort(key=lambda nt: (nt.arrival, nt.tid))
     here = [s.name for s in specs].index(initial_name)
     base = budget_total / horizon if budget_total is not None else None

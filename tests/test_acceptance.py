@@ -4,6 +4,7 @@ Each test prints one [PASS]/[FAIL] line on the terminal (bypassing capture) so
 a full run gives a nine-line scorecard in addition to the pytest verdict.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -18,7 +19,7 @@ from embudget.engine import PolicySpec, run_scenario
 from embudget.experiment import build_scenarios, load_experiment
 from embudget.presets import paper_grid_path
 from embudget.reporting import emission_cost_eur, summarize
-from embudget.workload import DiurnalTraceParams, Task
+from embudget.workload import DiurnalTraceParams, TaskTable
 
 from oracle import naive_run
 
@@ -68,7 +69,7 @@ def test_criterion_1_cost_reproduction(capsys):
 def test_criterion_2_energy_identity(capsys):
     pinned = NodeSpec("pin", 50, 338.93, 600.0)
     config = make_config("pin", constant_trace(100.0, hours=168), WEEK,
-                         PolicySpec("unlimited"), tasks=[],
+                         PolicySpec("unlimited"), tasks=TaskTable([]),
                          cluster=(pinned,), initial="pin")
     row = summarize(run_scenario(config))
     ok = (abs(row.energy_kwh - 56.94) <= 0.01
@@ -209,14 +210,12 @@ def test_criterion_6_oracle_equivalence(capsys):
         for policy in (PolicySpec("unlimited"),
                        PolicySpec("fixed", rate_g_per_s=rng.uniform(0.001, 0.05)),
                        PolicySpec("greedy_budget", budget_total_g=rng.uniform(0.5, 50.0))):
-            # tasks are read-only, so one list could serve every policy; each run builds its own
-            tasks = [Task(*fields) for fields in blueprint]
+            tasks = TaskTable(blueprint)
             report = run_scenario(make_config(
                 f"o{i}_{policy.kind}", trace, horizon, policy, tasks=tasks,
                 cluster=cluster, initial=initial))
             powers, emissions, completions, drops = naive_run(
-                values, 100, cluster, initial,
-                [Task(*fields) for fields in blueprint], policy.kind,
+                values, 100, cluster, initial, tasks, policy.kind,
                 rate=policy.rate_g_per_s, budget_total=policy.budget_total_g,
                 horizon=horizon)
             for t in range(horizon):
@@ -254,11 +253,11 @@ def grid_run(tmp_path_factory):
     rc = main(["run", str(paper_grid_path()), "--out", str(out)])
     elapsed = time.perf_counter() - started
     assert rc == 0
-    return elapsed, (out / "summary.csv").read_bytes()
+    return elapsed, (out / "summary.csv").read_bytes(), out
 
 
 def test_criterion_8_determinism(grid_run, tmp_path, capsys):
-    _, first = grid_run
+    _, first, _ = grid_run
     out = tmp_path / "grid2"
     rc = main(["run", str(paper_grid_path()), "--out", str(out)])
     assert rc == 0
@@ -268,8 +267,43 @@ def test_criterion_8_determinism(grid_run, tmp_path, capsys):
     assert ok
 
 
+# sha256 of each output file of the bundled full-week grid. A change that moves
+# any output on purpose updates this table and says why. manifest.txt is left
+# out: it names the experiment file's path.
+GRID_OUTPUT_SHA256 = {
+    "summary.csv": "6b498d39dbb1d8c17d3188ec3c60856c2148d2a3532abb96a14d758dbf9657cb",
+    "buckets_budget_DE1.csv": "29ebf5d91a1be95d42ef073309d48511a521619a68de9550092892f2ad25494a",
+    "buckets_budget_DE2.csv": "29ebf5d91a1be95d42ef073309d48511a521619a68de9550092892f2ad25494a",
+    "buckets_budget_FR1.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_budget_FR2.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_budget_PL1.csv": "b0bc1906dea920067746c90d786d2aff848533c20d6a288dd22b9163f5180db8",
+    "buckets_budget_PL2.csv": "b0bc1906dea920067746c90d786d2aff848533c20d6a288dd22b9163f5180db8",
+    "buckets_fixed_DE1.csv": "f52cd1ab8400d3fb675df97d369839e0ebcd865b694579970ee86e6e4b92e86c",
+    "buckets_fixed_DE2.csv": "f52cd1ab8400d3fb675df97d369839e0ebcd865b694579970ee86e6e4b92e86c",
+    "buckets_fixed_FR1.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_fixed_FR2.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_fixed_PL1.csv": "af461bb94d4c91be495e73b8903b4dc0252d476ec5c029536eb0e064d546f200",
+    "buckets_fixed_PL2.csv": "af461bb94d4c91be495e73b8903b4dc0252d476ec5c029536eb0e064d546f200",
+    "buckets_unlimited_DE1.csv": "ea4a8d7a88587b0c18510cbbe211d6761d8556eff4ad3723817fc26ef628bb57",
+    "buckets_unlimited_DE2.csv": "ea4a8d7a88587b0c18510cbbe211d6761d8556eff4ad3723817fc26ef628bb57",
+    "buckets_unlimited_FR1.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_unlimited_FR2.csv": "ee0e2dc426ccc2d8773b1cb358d2acf23ab6cdeac128228fee3b78973c3eadb1",
+    "buckets_unlimited_PL1.csv": "f68d8bf97c03465e03133c1486f9d25fe9aec77de49145409c727891feb0c329",
+    "buckets_unlimited_PL2.csv": "f68d8bf97c03465e03133c1486f9d25fe9aec77de49145409c727891feb0c329",
+}
+
+
+def test_grid_outputs_pinned(grid_run):
+    _, _, out = grid_run
+    written = sorted(p.name for p in out.glob("*.csv"))
+    assert written == sorted(GRID_OUTPUT_SHA256)
+    moved = [name for name, want in GRID_OUTPUT_SHA256.items()
+             if hashlib.sha256((out / name).read_bytes()).hexdigest() != want]
+    assert moved == []
+
+
 def test_criterion_9_performance(grid_run, capsys):
-    grid_elapsed, _ = grid_run
+    grid_elapsed, _, _ = grid_run
     experiment = load_experiment(paper_grid_path())
     scenario = build_scenarios(experiment, labels=["unlimited_DE1"])[0]
     started = time.perf_counter()

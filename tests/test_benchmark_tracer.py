@@ -16,7 +16,7 @@ import embudget.cli
 import embudget.engine
 import embudget.experiment
 import embudget.workload
-from embudget.workload import Task, export_tasks_csv
+from embudget.workload import TaskTable, export_tasks_csv
 from test_experiment_cli import replay_experiment, small_experiment
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -52,7 +52,7 @@ def traced_run(tracer_class, path, out, monkeypatch):
 @pytest.mark.parametrize("workload", ["generated", "replay"])
 def test_traced_counts_match_reports(tmp_path, monkeypatch, workload):
     if workload == "replay":
-        tasks = [Task(i, 2 * i, 2.0, 5.0, 2 * i + 30.0) for i in range(200)]
+        tasks = TaskTable((i, 2 * i, 2.0, 5.0, 2 * i + 30.0) for i in range(200))
         path = replay_experiment(tmp_path, export_tasks_csv(tasks))
     else:
         path = small_experiment(tmp_path)

@@ -11,7 +11,7 @@ from embudget.budget import (
     HorizonError,
 )
 from embudget.engine import ACTION_NAMES, PolicySpec, ScenarioError, run_scenario
-from embudget.workload import Task
+from embudget.workload import TaskTable
 
 WEEK = 604_800.0
 
@@ -84,7 +84,7 @@ class TestGreedyAllowance:
 
 def saturated_run(policy):
     """Two minutes at 400 g/kWh on the default cluster with more demand than it can serve."""
-    tasks = [Task(i, 0, 5.0, 200.0, 1e9) for i in range(100)]
+    tasks = TaskTable((i, 0, 5.0, 200.0, 1e9) for i in range(100))
     return run_scenario(make_config(policy.kind, constant_trace(400.0, hours=1), 120, policy,
                                     tasks=tasks))
 

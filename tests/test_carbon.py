@@ -15,6 +15,7 @@ from embudget.carbon import (
 )
 from embudget.cluster import MEDIUM
 from embudget.engine import PolicySpec, ScenarioConfig, run_scenario
+from embudget.workload import TaskTable
 
 TWO_ROWS = "ts,ci\n2024-01-01T00:00Z,380\n2024-01-01T01:00Z,350\n"
 CMAP = ColumnMap(timestamp="ts", intensity="ci")
@@ -94,7 +95,7 @@ class TestIntensityAt:
 def g_per_watt_second(ci_kwh):
     """Emission per watt of one idle engine step at `ci_kwh` g/kWh."""
     config = ScenarioConfig("conv", CarbonIntensityTrace("c", 0, 3600, (ci_kwh,)), 1,
-                            PolicySpec("unlimited"), cluster=(MEDIUM,), tasks=[])
+                            PolicySpec("unlimited"), cluster=(MEDIUM,), tasks=TaskTable([]))
     report = run_scenario(config)
     return report.emission_g[0] / report.power_w[0]
 

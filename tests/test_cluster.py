@@ -8,7 +8,7 @@ from conftest import constant_trace, make_config, option_power
 from embudget.cluster import LARGE, MEDIUM, SMALL, ClusterError, NodeSpec
 from embudget.engine import PolicySpec, run_scenario
 from embudget.policies import MIGRATION_SAVING_FRACTION, choose_option
-from embudget.workload import Task, WorkloadError
+from embudget.workload import TaskTable, WorkloadError
 
 specs = st.builds(
     NodeSpec,
@@ -24,7 +24,7 @@ S, M, L = range(3)
 
 def one_step(spec, demand):
     """Report of one unconstrained engine step with `demand` CU queued on a one-node cluster."""
-    tasks = [Task(0, 0, demand, 10.0, 100.0)] if demand > 0 else []
+    tasks = TaskTable([(0, 0, demand, 10.0, 100.0)] if demand > 0 else [])
     config = make_config("one", constant_trace(400.0, hours=1), 1, PolicySpec("unlimited"),
                          tasks=tasks, cluster=(spec,), initial=spec.name)
     return run_scenario(config)
@@ -85,7 +85,7 @@ class TestUtilizationForCu:
 
     def test_negative_rejected(self):
         with pytest.raises(WorkloadError):
-            Task(0, 0, -1.0, 10.0, 100.0)
+            TaskTable([(0, 0, -1.0, 10.0, 100.0)])
 
 
 class TestPowerCapInverse:

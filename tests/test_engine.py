@@ -1,4 +1,3 @@
-import copy
 import math
 import random
 from array import array
@@ -20,7 +19,7 @@ from embudget.engine import (
     run_matrix,
     run_scenario,
 )
-from embudget.workload import Task
+from embudget.workload import TaskTable, WorkloadError
 from oracle import naive_run
 
 EXACT_RATE = 10_080.0 / 604_800.0
@@ -31,7 +30,7 @@ BUDGET = PolicySpec("greedy_budget", budget_total_g=10_080.0)
 
 
 def saturating_tasks(n=200, cu=5.0, runtime=200.0, deadline=1e9):
-    return [Task(i, 0, cu, runtime, deadline) for i in range(n)]
+    return TaskTable((i, 0, cu, runtime, deadline) for i in range(n))
 
 
 class TestSingleStep:
@@ -39,7 +38,7 @@ class TestSingleStep:
         # CI of 3.6e6 g/kWh makes the conversion factor exactly 1 g/Ws
         trace = CarbonIntensityTrace("unit", 0, 3600, (3_600_000.0,))
         config = make_config("one", trace, 1, UNLIMITED,
-                             tasks=[Task(0, 0, 100.0, 1.0, 100.0)],
+                             tasks=TaskTable([(0, 0, 100.0, 1.0, 100.0)]),
                              cluster=(MEDIUM,), initial="medium")
         report = run_scenario(config)
         assert report.power_w[0] == 600.0
@@ -135,18 +134,18 @@ class TestWorkloadIsolation:
         workload = simple_workload(base_rate=0.7, amplitudes=(0.4, 0.2))
         a = generate_diurnal_trace(workload, 7200, 9)
         b = generate_diurnal_trace(workload, 7200, 9)
-        assert a == b
+        assert list(a) == list(b)
 
 
 class TestSharedTasks:
     def test_one_task_list_serves_many_runs(self):
-        tasks = [Task(i, i // 3, 4.0, 6.0, i // 3 + 20.0) for i in range(900)]
-        fresh = copy.deepcopy(tasks)
+        tasks = TaskTable((i, i // 3, 4.0, 6.0, i // 3 + 20.0) for i in range(900))
+        fresh = list(tasks)
         config = make_config("shared", constant_trace(300.0), 400, FIXED, tasks=tasks)
         first = run_scenario(config)
         assert first.finished_tasks > 0 and first.dropped_tasks > 0
         assert run_scenario(config) == first
-        assert tasks == fresh
+        assert list(tasks) == fresh
 
     def test_run_matrix_generates_each_workload_once(self, monkeypatch):
         calls = []
@@ -179,19 +178,25 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             run_scenario(config)
 
-    @pytest.mark.parametrize("tasks, problem", [
-        ([Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100)], "task 1 arrives out of order"),
-        ([Task(i, i, 1, 5, 100) for i in range(50)] + [Task(0, 60, 1, 5, 100)],
+    @pytest.mark.parametrize("rows, problem", [
+        ([(0, 10, 1, 5, 100), (1, 5, 1, 5, 100)], "task 1 arrives out of order"),
+        ([(i, i, 1, 5, 100) for i in range(50)] + [(0, 60, 1, 5, 100)],
          "duplicate task id 0"),
-        ([Task(1, 0, 4, 3, 6.0), Task(0, 0, 4, 1, 6.0)], "task 0 arrives out of order"),
+        ([(1, 0, 4, 3, 6.0), (0, 0, 4, 1, 6.0)], "task 0 arrives out of order"),
     ], ids=["out_of_order", "duplicate_id_at_the_end", "tie_out_of_id_order"])
-    def test_bad_task_list_refused_before_step_0(self, monkeypatch, tasks, problem):
+    def test_bad_task_list_refused_before_step_0(self, rows, problem):
+        # A bad list never becomes a table, so no config can carry it to a run.
+        with pytest.raises(WorkloadError, match=f"^{problem}$"):
+            TaskTable(rows)
+
+    def test_tasks_not_a_table_refused_before_step_0(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(embudget.engine, "choose_option", no_step)
-        config = make_config("bad", constant_trace(100.0), 100, UNLIMITED, tasks=tasks)
-        with pytest.raises(ScenarioError, match=f"^bad: {problem}$"):
+        config = make_config("bad", constant_trace(100.0), 100, UNLIMITED,
+                             tasks=[(0, 0, 1, 5, 100)])
+        with pytest.raises(ScenarioError, match="^bad: tasks must be a TaskTable$"):
             run_scenario(config)
 
     def test_policy_spec_validation(self):
@@ -225,13 +230,12 @@ class TestRunMatrix:
         configs = [
             make_config("good", trace, 600, UNLIMITED, workload=simple_workload()),
             make_config("too_long", trace, 7200, UNLIMITED, workload=simple_workload()),
-            make_config("twice", trace, 600, UNLIMITED,
-                        tasks=[Task(0, 0, 1, 5, 100), Task(0, 60, 1, 5, 100)]),
+            make_config("a_list", trace, 600, UNLIMITED, tasks=[(0, 0, 1, 5, 100)]),
         ]
         with pytest.raises(ScenarioError) as refused:
             run_matrix(configs)
         assert str(refused.value) == ("too_long: horizon 7200s exceeds trace span 3600s; "
-                                      "twice: duplicate task id 0")
+                                      "a_list: tasks must be a TaskTable")
         assert labels == []
 
     def test_identical_configs_identical_reports(self):
@@ -279,7 +283,8 @@ class TestColumnSharing:
                 assert getattr(report, name).tobytes() == getattr(solo, name).tobytes()
 
     def test_only_byte_identical_columns_merge(self):
-        report = run_scenario(make_config("r", constant_trace(300.0), 2, UNLIMITED, tasks=[]))
+        report = run_scenario(make_config("r", constant_trace(300.0), 2, UNLIMITED,
+                                          tasks=TaskTable([])))
         seen = {}
         zero = _share_columns(replace(report, power_w=array("d", [0.0, 0.0])), seen)
         minus_zero = _share_columns(replace(report, power_w=array("d", [0.0, -0.0])), seen)
@@ -334,9 +339,9 @@ class TestPlanMemo:
         cluster = PRESETS["default"]
         report = run_scenario(make_config(
             "cross", CarbonIntensityTrace("cross", 0, 100, values), 1000, policy,
-            tasks=[Task(*fields) for fields in blueprint], cluster=cluster))
+            tasks=TaskTable(blueprint), cluster=cluster))
         powers, emissions, completions, drops = naive_run(
-            values, 100, cluster, "medium", [Task(*fields) for fields in blueprint],
+            values, 100, cluster, "medium", TaskTable(blueprint),
             policy.kind, rate=policy.rate_g_per_s, budget_total=policy.budget_total_g,
             horizon=1000)
         assert list(report.power_w) == powers

@@ -15,7 +15,7 @@ from embudget.experiment import (
     validate,
 )
 from embudget.presets import paper_grid_path
-from embudget.workload import Task, WorkloadError, export_tasks_csv
+from embudget.workload import TaskTable, WorkloadError, export_tasks_csv
 
 TRACE_CSV = textwrap.dedent("""\
     timestamp,intensity
@@ -117,9 +117,10 @@ NOT_RUNNABLE = {
                     "initial": "a"}, "duplicate node names"),
     "task_cu_zero": ("workload.task_cu", 0, "task CU and runtime"),
     "task_runtime_zero": ("workload.task_runtime_s", 0, "task CU and runtime"),
+    "task_cu_infinite": ("workload.task_cu", math.inf, "task CU and runtime"),
     "cu_jitter_above_one": ("workload.cu_jitter", 1.5, "jitter"),
     "price_nan": ("prices", [math.nan, 80], "carbon prices must be positive"),
-    "trace_days_nan": ("traces.T1.days", math.nan, "trace T1: cannot convert float NaN"),
+    "trace_days_nan": ("traces.T1.days", math.nan, "trace T1: days must be finite and positive"),
 }
 
 TASKS_HEADER_AND_ROW = "id,arrival,cu,runtime,deadline\n0,0,2.0,5.0,60\n"
@@ -132,6 +133,7 @@ REPLAY_DEFECTS = {
     "short": (TASKS_HEADER_AND_ROW + "1,1,2.0\n", "line 3: too few fields"),
     "duplicate_id": (TASKS_HEADER_AND_ROW + "0,1,2.0,5.0,61\n", "duplicate task id 0"),
     "nan_cu": (TASKS_HEADER_AND_ROW + "1,1,nan,5.0,61\n", "line 3: task 1: demand and runtime"),
+    "inf_cu": (TASKS_HEADER_AND_ROW + "1,1,inf,5.0,61\n", "line 3: task 1: demand and runtime"),
     "huge_header": ("id," + "9" * 200_000 + "\n", "line 1: field larger than field limit"),
 }
 
@@ -251,7 +253,7 @@ class TestBuildScenarios:
         assert all(s.seed == 99 for s in scenarios)
 
     def test_replay_tasks(self, tmp_path):
-        tasks = [Task(0, 0, 2.0, 5.0, 100.0), Task(1, 10, 2.0, 5.0, 110.0)]
+        tasks = TaskTable([(0, 0, 2.0, 5.0, 100.0), (1, 10, 2.0, 5.0, 110.0)])
         (tmp_path / "tasks.csv").write_text(export_tasks_csv(tasks))
         path = write_experiment(tmp_path, textwrap.dedent("""\
             horizon_s: 600
@@ -290,7 +292,7 @@ class TestBuildScenarios:
         for name in ("parse_trace", "import_tasks_csv"):
             monkeypatch.setattr(embudget.experiment, name,
                                 counting(name, getattr(embudget.experiment, name)))
-        path = replay_experiment(tmp_path, export_tasks_csv([Task(0, 0, 2.0, 5.0, 100.0)]))
+        path = replay_experiment(tmp_path, export_tasks_csv(TaskTable([(0, 0, 2.0, 5.0, 100.0)])))
         raw = yaml.safe_load(path.read_text())
         raw["traces"]["T2"] = {"path": "trace.csv"}
         path.write_text(yaml.safe_dump(raw))
@@ -305,7 +307,7 @@ class TestBuildScenarios:
     @pytest.mark.parametrize("workload", ["replay", "generated"])
     def test_replay_results_do_not_depend_on_workers(self, tmp_path, workload):
         if workload == "replay":
-            tasks = [Task(i, i, 2.0, 5.0, i + 60.0) for i in range(300)]
+            tasks = TaskTable((i, i, 2.0, 5.0, i + 60.0) for i in range(300))
             path = replay_experiment(tmp_path, export_tasks_csv(tasks))
         else:
             path = small_experiment(tmp_path)
@@ -414,6 +416,11 @@ class TestCli:
         (tmp_path / "trace.csv").write_text(trace_csv)
         line = refused_before_writing(path, tmp_path, capsys)
         assert line.startswith(f"trace T1: line 3: {problem}")
+
+    def test_infinite_days_is_one_trace_line(self, tmp_path, capsys):
+        path = experiment_with(tmp_path, "traces.T1.days", math.inf)
+        line = refused_before_writing(path, tmp_path, capsys)
+        assert line == "trace T1: days must be finite and positive, not inf"
 
     def test_generation_error_names_scenario(self, tmp_path, capsys, monkeypatch):
         def failing_generate(params, horizon, seed):

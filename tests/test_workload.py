@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embudget.workload import (
+    TASK_CSV_COLUMNS,
     DiurnalTraceParams,
-    Task,
     TaskQueue,
+    TaskTable,
     WorkloadError,
     export_tasks_csv,
     generate_diurnal_trace,
     import_tasks_csv,
-    task_list_problems,
 )
 
 
@@ -22,14 +22,21 @@ def params(base=0.5, amps=(0.0, 0.0), times=(32400.0, 68400.0), width=3600.0,
         task_cu=cu, task_runtime=runtime, deadline_slack=slack, **kw)
 
 
+def admitted(*rows):
+    """A queue over the table of `rows`, with every task admitted."""
+    q = TaskQueue(TaskTable(rows))
+    q.admit(range(len(rows)))
+    return q
+
+
 class TestGenerator:
     def test_zero_rate_empty(self):
-        assert generate_diurnal_trace(params(base=0.0), 3600, 1) == []
+        assert len(generate_diurnal_trace(params(base=0.0), 3600, 1)) == 0
 
     def test_constant_unit_rate(self):
         tasks = generate_diurnal_trace(params(base=1.0), 60, 1)
         assert len(tasks) == 60
-        assert [t.arrival for t in tasks] == list(range(60))
+        assert tasks.arrival == tuple(range(60))
 
     def test_count_matches_quadrature_oracle(self):
         p = params(base=0.5, amps=(1.0, 0.0), times=(43200.0, 0.0), width=7200.0)
@@ -48,14 +55,14 @@ class TestGenerator:
         p = params(base=0.3, amps=(0.5, 0.2), cu_jitter=0.2, runtime_jitter=0.2)
         a = generate_diurnal_trace(p, 7200, 42)
         b = generate_diurnal_trace(p, 7200, 42)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_jitter_responds_to_seed(self):
         p = params(cu_jitter=0.3)
         a = generate_diurnal_trace(p, 600, 1)
         b = generate_diurnal_trace(p, 600, 2)
-        assert [t.arrival for t in a] == [t.arrival for t in b]
-        assert [t.cu_demand for t in a] != [t.cu_demand for t in b]
+        assert a.arrival == b.arrival
+        assert a.cu != b.cu
 
     @pytest.mark.parametrize("bad", [
         {"cu": 0.0}, {"runtime": 0.0}, {"slack": -1.0},
@@ -63,6 +70,7 @@ class TestGenerator:
         {"cu": math.nan}, {"runtime": math.nan}, {"slack": math.nan}, {"width": math.nan},
         {"base": math.nan}, {"base": math.inf},
         {"amps": (0.0, math.nan)}, {"amps": (math.inf, 0.0)},
+        {"cu": math.inf}, {"runtime": math.inf},
     ])
     def test_params_that_would_make_invalid_tasks_rejected(self, bad):
         with pytest.raises(WorkloadError):
@@ -73,46 +81,46 @@ class TestGenerator:
         assert p.rate_at(86400 - 1800) == pytest.approx(p.rate_at(1800))
 
 
-class TestTaskListProblems:
-    def test_generated_list_is_clean(self):
-        assert task_list_problems(generate_diurnal_trace(params(base=0.7), 300, 5)) == []
+class TestTaskTable:
+    def test_generated_table_is_clean(self):
+        table = generate_diurnal_trace(params(base=0.7), 300, 5)
+        assert len(table) > 0
+        assert list(TaskTable(table)) == list(table)
+        assert all(type(getattr(table, name)) is tuple for name in TASK_CSV_COLUMNS)
 
     def test_first_bad_task_named(self):
-        late = [Task(0, 10, 1, 5, 100), Task(1, 5, 1, 5, 100), Task(2, 1, 1, 5, 100)]
-        assert task_list_problems(late) == ["task 1 arrives out of order"]
-        twice = [Task(7, 0, 1, 5, 100), Task(7, 3, 1, 5, 100), Task(8, 4, 1, 5, 100)]
-        assert task_list_problems(twice) == ["duplicate task id 7"]
-        assert task_list_problems([Task(7, 5, 1, 5, 100), Task(7, 3, 1, 5, 100)]) == [
-            "task 7 arrives out of order", "duplicate task id 7"]
+        late = [(0, 10, 1, 5, 100), (1, 5, 1, 5, 100), (2, 1, 1, 5, 100)]
+        with pytest.raises(WorkloadError, match="^task 1 arrives out of order$"):
+            TaskTable(late)
+        twice = [(7, 0, 1, 5, 100), (7, 3, 1, 5, 100), (8, 4, 1, 5, 100)]
+        with pytest.raises(WorkloadError, match="^duplicate task id 7$"):
+            TaskTable(twice)
+        with pytest.raises(WorkloadError,
+                           match="^task 7 arrives out of order; duplicate task id 7$"):
+            TaskTable([(7, 5, 1, 5, 100), (7, 3, 1, 5, 100)])
 
 
 class TestAdmit:
     def test_three_arrivals(self):
-        q = TaskQueue()
-        q.admit([Task(i, i, 1, 5, 100) for i in range(3)])
+        q = admitted(*[(i, i, 1, 5, 100) for i in range(3)])
         assert q.pending_count == 3
 
-    def test_total_work_is_derived(self):
-        assert Task(0, 0, 2, 5, 100).total_work == 10.0
-        with pytest.raises(TypeError):
-            Task(0, 0, 2, 5, 100, 3.0)
-
-    @pytest.mark.parametrize("fields", [(math.nan, 5, 100), (1, math.nan, 100), (1, 5, math.nan)],
-                             ids=["cu", "runtime", "deadline"])
+    @pytest.mark.parametrize("fields", [(math.nan, 5, 100), (1, math.nan, 100), (1, 5, math.nan),
+                                        (math.inf, 5, 100), (1, math.inf, 100)],
+                             ids=["cu", "runtime", "deadline", "cu_inf", "runtime_inf"])
     def test_nan_task_rejected(self, fields):
-        with pytest.raises(WorkloadError):
-            Task(0, 0, *fields)
+        with pytest.raises(WorkloadError, match="^task 0: "):
+            TaskTable([(0, 0, *fields)])
 
     def test_zero_arrivals(self):
-        q = TaskQueue()
-        q.admit([])
+        q = TaskQueue(TaskTable([]))
+        q.admit(range(0))
         assert q.pending_count == 0
 
 
 class TestStepAllocation:
     def test_full_rate_finishes_at_nominal_runtime(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 2, 5, 1000)])  # W = 10 CU.s
+        q = admitted((0, 0, 2, 5, 1000))  # W = 10 CU.s
         for step in range(5):
             used, done = q.step_allocation(2.0, step)
             assert used == 2.0
@@ -120,8 +128,7 @@ class TestStepAllocation:
         assert q.finished_count == 1
 
     def test_degraded_rate_takes_longer(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 2, 5, 1000)])
+        q = admitted((0, 0, 2, 5, 1000))
         completions = 0
         for step in range(10):
             _, done = q.step_allocation(1.0, step)
@@ -130,14 +137,12 @@ class TestStepAllocation:
         assert q.finished_count == 1
 
     def test_no_cu_no_progress(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 2, 5, 1000)])
+        q = admitted((0, 0, 2, 5, 1000))
         used, done = q.step_allocation(0.0, 0)
         assert used == 0.0 and done == 0
 
     def test_fifo_front_first(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 4, 2, 1000), Task(1, 0, 4, 2, 1000)])
+        q = admitted((0, 0, 4, 2, 1000), (1, 0, 4, 2, 1000))
         # The front gets its full 4 CU and the second the 2 left over, so the
         # front finishes at the next step and the second one step later.
         steps = [q.step_allocation(6.0, step) for step in range(3)]
@@ -145,15 +150,13 @@ class TestStepAllocation:
         assert q.finished_count == 2
 
     def test_capacity_respected(self):
-        q = TaskQueue()
-        q.admit([Task(i, 0, 3, 10, 1000) for i in range(5)])
+        q = admitted(*[(i, 0, 3, 10, 1000) for i in range(5)])
         used, _ = q.step_allocation(7.5, 0)
         assert used <= 7.5
 
     def test_work_conservation(self):
-        q = TaskQueue()
-        tasks = [Task(i, 0, 2, 7, 1000) for i in range(4)]
-        q.admit(tasks)
+        tasks = [(i, 0, 2, 7, 1000) for i in range(4)]
+        q = admitted(*tasks)
         granted = 0.0
         completed = 0
         for step in range(20):
@@ -161,29 +164,26 @@ class TestStepAllocation:
             granted += used
             completed += done
         assert completed == q.finished_count == len(tasks)
-        assert granted == pytest.approx(sum(t.total_work for t in tasks))
+        assert granted == pytest.approx(sum(cu * runtime for _, _, cu, runtime, _ in tasks))
 
 
 class TestDropExpired:
     def test_past_deadline_dropped(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 1, 5, 100)])
+        q = admitted((0, 0, 1, 5, 100))
         assert q.drop_expired(101) == 1
         assert q.dropped_count == 1 and q.pending_count == 0
 
     def test_boundary_kept_inclusive(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 1, 5, 100)])
+        q = admitted((0, 0, 1, 5, 100))
         assert q.drop_expired(100) == 0
         assert q.pending_count == 1
 
     def test_empty_queue(self):
-        q = TaskQueue()
+        q = admitted()
         assert q.drop_expired(50) == 0
 
     def test_finished_tasks_not_double_counted(self):
-        q = TaskQueue()
-        q.admit([Task(0, 0, 1, 2, 100)])
+        q = admitted((0, 0, 1, 2, 100))
         q.step_allocation(1.0, 0)
         q.step_allocation(1.0, 1)
         assert q.finished_count == 1
@@ -200,16 +200,15 @@ class TestAccountingClosure:
     ), min_size=1, max_size=30), st.integers(min_value=0, max_value=9))
     def test_closure_every_step(self, raw, avail):
         raw.sort(key=lambda r: r[0])
-        tasks = [Task(i, a, c, r, a + r + s) for i, (a, c, r, s) in enumerate(raw)]
-        q = TaskQueue()
+        tasks = TaskTable((i, a, c, r, a + r + s) for i, (a, c, r, s) in enumerate(raw))
+        q = TaskQueue(tasks)
         i = 0
         for t in range(120):
             q.drop_expired(t)
-            batch = []
-            while i < len(tasks) and tasks[i].arrival <= t:
-                batch.append(tasks[i])
+            start = i
+            while i < len(tasks) and tasks.arrival[i] <= t:
                 i += 1
-            q.admit(batch)
+            q.admit(range(start, i))
             q.step_allocation(float(avail), t)
             assert q.finished_count + q.dropped_count + q.pending_count == i
 
@@ -218,15 +217,14 @@ class TestCsvRoundTrip:
     def test_export_import(self):
         tasks = generate_diurnal_trace(params(base=0.7), 300, 5)
         restored = import_tasks_csv(export_tasks_csv(tasks))
-        assert [(t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline) for t in tasks] == \
-               [(t.id, t.arrival, t.cu_demand, t.nominal_runtime, t.deadline) for t in restored]
+        assert list(restored) == list(tasks)
 
     def test_bad_header(self):
         with pytest.raises(WorkloadError):
             import_tasks_csv("id,arrival\n1,2\n")
 
     def test_duplicate_id_named(self):
-        text = export_tasks_csv([Task(7, 0, 1, 5, 100), Task(7, 3, 1, 5, 100)])
+        text = "id,arrival,cu,runtime,deadline\n7,0,1,5,100\n7,3,1,5,100\n"
         with pytest.raises(WorkloadError, match="duplicate task id 7"):
             import_tasks_csv(text)
 
