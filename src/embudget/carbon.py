@@ -101,9 +101,8 @@ def _parse_timestamp(raw: str) -> int:
     return int(dt.timestamp())
 
 
-def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
-                zone_label: str = "") -> CarbonIntensityTrace:
-    """Parse an hourly-style CSV export into a trace.
+def parse_trace(csv_text: str, column_map: ColumnMap | None = None) -> CarbonIntensityTrace:
+    """Parse an hourly-style CSV export into a trace with an empty zone label.
 
     Rows are sorted by timestamp; the step is inferred from the first two rows and
     every subsequent gap must match it (no silent filling).
@@ -151,7 +150,7 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None,
                 raise TraceGapError(f"gap between {a} and {b}, expected step {step}")
 
     return CarbonIntensityTrace(
-        zone_label=zone_label,
+        zone_label="",
         start_epoch=rows[0][0],
         step=step,
         values=tuple(ci for _, ci in rows),

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -18,6 +19,10 @@ from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
 from .reporting import DEFAULT_PRICES_EUR_PER_TON
 from .workload import DiurnalTraceParams, TaskTable, import_tasks_csv
+
+# libyaml's parser when PyYAML was built with it; both loaders share the Python
+# constructor and resolver, so a valid file loads to the same objects.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _POLICY_ALIASES = {
     "unlimited": "unlimited",
@@ -78,11 +83,12 @@ def load_experiment(path: str | Path) -> Experiment:
 
     Malformed structure raises ExperimentError. Every other reason the
     experiment would not run, such as a missing trace or a bad replay row, is
-    recorded in `problems`; each trace and the replay file is read once, here.
+    recorded in `problems`; each distinct trace file and the replay file is
+    read once, here.
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -189,24 +195,36 @@ def _parse(raw: dict, path: Path) -> tuple[Experiment, list[TraceRef], Path | No
     return experiment, traces, replay_path
 
 
-def load_trace(ref: TraceRef) -> CarbonIntensityTrace:
-    """Read and window one referenced trace file."""
-    text = ref.path.read_text()
-    trace = parse_trace(text, ref.columns, zone_label=ref.label)
-    if ref.start_epoch is not None or ref.days is not None:
-        start = ref.start_epoch if ref.start_epoch is not None else trace.start_epoch
-        if ref.days is not None:
-            if not 0 < ref.days < math.inf:
-                raise ValueError(f"days must be finite and positive, not {ref.days}")
-            end = start + int(ref.days * 86400)
-        else:
-            end = trace.end_epoch
-        return trace.slice_window(start, end)
-    return trace
+def load_trace(ref: TraceRef, parsed: dict) -> CarbonIntensityTrace:
+    """Cut one referenced trace's window from its file, parsing the file unless `parsed` has it.
+
+    `parsed` maps (resolved path, column map) to the file's whole trace, or to
+    the ValueError its parse raised, so each distinct file is parsed once however
+    many labels name it. A file that cannot be read or decoded is not recorded: each
+    label naming it reads it again and reports the error under its own spelling of the path.
+    """
+    key = (os.path.realpath(ref.path), ref.columns)
+    if key not in parsed:
+        text = ref.path.read_text()
+        try:
+            parsed[key] = parse_trace(text, ref.columns)
+        except ValueError as exc:  # TraceError; its message names no path
+            parsed[key] = exc
+    whole = parsed[key]
+    if isinstance(whole, ValueError):
+        raise whole
+    start = ref.start_epoch if ref.start_epoch is not None else whole.start_epoch
+    if ref.days is None:
+        end = whole.end_epoch
+    elif 0 < ref.days < math.inf:
+        end = start + int(ref.days * 86400)
+    else:
+        raise ValueError(f"days must be finite and positive, not {ref.days}")
+    return replace(whole.slice_window(start, end), zone_label=ref.label)
 
 
 def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path | None) -> None:
-    """The one check pass: read each trace and the replay file once, record every problem."""
+    """The one check pass: read each distinct input file once and record every problem."""
     problems = experiment.problems
     if not trace_refs:
         problems.append("no traces declared")
@@ -222,9 +240,10 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
     if any(not p > 0 for p in experiment.prices):
         problems.append("carbon prices must be positive")
     problems += cluster_problems(experiment.cluster, experiment.initial_node)
+    parsed: dict = {}
     for ref in trace_refs:
         try:
-            trace = experiment.traces[ref.label] = load_trace(ref)
+            trace = experiment.traces[ref.label] = load_trace(ref, parsed)
         except (OSError, ValueError) as exc:  # ValueError: TraceError or bad encoding
             problems.append(f"trace {ref.label}: {exc}")
             continue

@@ -99,6 +99,12 @@ class DiurnalTraceParams:
             raise WorkloadError("deadline slack must be >= 0")
         if not (0 <= self.cu_jitter < 1 and 0 <= self.runtime_jitter < 1):
             raise WorkloadError("cu and runtime jitter must lie in [0, 1)")
+        # A jittered size lies between size * (1 - jitter) and size * (1 + jitter);
+        # float rounding is monotone, so checking both ends checks every task.
+        for size, jitter in ((self.task_cu, self.cu_jitter),
+                             (self.task_runtime, self.runtime_jitter)):
+            if not (0 < size * (1 - jitter) and size * (1 + jitter) < math.inf):
+                raise WorkloadError("jittered task CU and runtime must be positive and finite")
 
     def rate_at(self, t: float) -> float:
         """Arrival rate lambda(t) in tasks/second."""

@@ -1,5 +1,6 @@
 import math
 import textwrap
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -160,6 +161,18 @@ def refused_before_writing(path, tmp_path, capsys):
     return printed[0]
 
 
+def malformed_error_line(path, tmp_path, capsys):
+    """The one `error:` line that `validate` and `run` both exit 2 with, writing nothing."""
+    with pytest.raises(ExperimentError, match="exp.yaml"):
+        load_experiment(path)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "exp.yaml" in err[0]
+    assert not (tmp_path / "results").exists()
+    return err[0]
+
+
 class TestLoadExperiment:
     def test_bundled_grid_is_clean(self):
         experiment = load_experiment(paper_grid_path())
@@ -167,6 +180,23 @@ class TestLoadExperiment:
         assert len(experiment.traces) == 6
         assert len(experiment.policies) == 3
         assert experiment.horizon == 604_800
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("experiment", ["paper_grid", "replay"])
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch, experiment):
+        if experiment == "paper_grid":
+            path = paper_grid_path()
+        else:
+            tasks = TaskTable((i, i, 2.0, 5.0, i + 60.0) for i in range(50))
+            path = replay_experiment(tmp_path, export_tasks_csv(tasks))
+        assert embudget.experiment._YAML_LOADER is yaml.CSafeLoader
+        native = load_experiment(path)
+        monkeypatch.setattr(embudget.experiment, "_YAML_LOADER", yaml.SafeLoader)
+        python = load_experiment(path)
+        assert native.problems == [] and native.traces
+        if native.tasks is not None:
+            assert list(native.tasks) == list(python.tasks)
+        assert replace(native, tasks=None) == replace(python, tasks=None)
 
     def test_small_file(self, tmp_path):
         experiment = load_experiment(small_experiment(tmp_path))
@@ -192,14 +222,17 @@ class TestLoadExperiment:
 
     @pytest.mark.parametrize("key, value", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, key, value):
-        path = experiment_with(tmp_path, key, value)
-        with pytest.raises(ExperimentError, match="exp.yaml"):
-            load_experiment(path)
-        for command in ("validate", "run"):
-            assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: ") and "exp.yaml" in err[0]
-        assert not (tmp_path / "results").exists()
+        malformed_error_line(experiment_with(tmp_path, key, value), tmp_path, capsys)
+
+    @pytest.mark.parametrize("size, jitter", [("task_cu", "cu_jitter"),
+                                              ("task_runtime_s", "runtime_jitter")])
+    def test_jittered_size_overflow_is_one_error_line(self, tmp_path, capsys, size, jitter):
+        path = experiment_with(tmp_path, f"workload.{size}", 1.7e308)
+        raw = yaml.safe_load(path.read_text())
+        raw["workload"][jitter] = 0.5
+        path.write_text(yaml.safe_dump(raw))
+        line = malformed_error_line(path, tmp_path, capsys)
+        assert line.endswith("jittered task CU and runtime must be positive and finite")
 
 
 class TestValidate:
@@ -293,16 +326,48 @@ class TestBuildScenarios:
             monkeypatch.setattr(embudget.experiment, name,
                                 counting(name, getattr(embudget.experiment, name)))
         path = replay_experiment(tmp_path, export_tasks_csv(TaskTable([(0, 0, 2.0, 5.0, 100.0)])))
+        (tmp_path / "other.csv").write_text(TRACE_CSV)
         raw = yaml.safe_load(path.read_text())
         raw["traces"]["T2"] = {"path": "trace.csv"}
+        raw["traces"]["T3"] = {"path": "other.csv"}
         path.write_text(yaml.safe_dump(raw))
 
         experiment = load_experiment(path)
         assert validate(experiment) == []
         first, second = build_scenarios(experiment), build_scenarios(experiment)
         assert validate(experiment) == []
+        # Three labels name two files: one parse per file.
         assert sorted(calls) == ["import_tasks_csv", "parse_trace", "parse_trace"]
-        assert [s.label for s in first] == [s.label for s in second] and len(first) == 6
+        assert [s.label for s in first] == [s.label for s in second] and len(first) == 9
+
+    def test_labels_on_one_file_keep_their_own_window_and_zone(self, tmp_path):
+        path = experiment_with(tmp_path, "traces", {
+            "EARLY": {"path": "trace.csv", "days": 1 / 24},
+            "LATE": {"path": "trace.csv", "start": "2024-01-01T01:00:00Z"},
+            "WHOLE": {"path": "trace.csv"},
+        })
+        path.write_text(path.read_text().replace("horizon_s: 600", "horizon_s: 3600"))
+        experiment = load_experiment(path)
+        assert validate(experiment) == []
+        traces = experiment.traces
+        assert {label: (t.zone_label, t.values) for label, t in traces.items()} == {
+            "EARLY": ("EARLY", (120.0,)),
+            "LATE": ("LATE", (340.0, 210.0)),
+            "WHOLE": ("WHOLE", (120.0, 340.0, 210.0)),
+        }
+        reports = run_matrix(build_scenarios(experiment, labels=[
+            "unlimited_EARLY", "unlimited_LATE", "unlimited_WHOLE"]))
+        assert [r.trace_zone for r in reports] == ["EARLY", "LATE", "WHOLE"]
+
+    def test_bad_file_is_one_problem_per_label(self, tmp_path):
+        path = experiment_with(tmp_path, "traces", {
+            "A": {"path": "trace.csv"}, "B": {"path": "gone.csv"}, "C": {"path": "trace.csv"}})
+        (tmp_path / "trace.csv").write_text(TRACE_CSV.replace(",340", ",-5"))
+        problem = "line 3: intensity must be finite and >= 0, got -5.0"
+        problems = validate(load_experiment(path))
+        assert len(problems) == 3
+        assert problems[0] == f"trace A: {problem}" and problems[2] == f"trace C: {problem}"
+        assert problems[1].startswith("trace B: ") and "gone.csv" in problems[1]
 
     @pytest.mark.parametrize("workload", ["replay", "generated"])
     def test_replay_results_do_not_depend_on_workers(self, tmp_path, workload):
@@ -383,12 +448,15 @@ class TestCli:
         calls = []
 
         def counting_parse_trace(*args, **kwargs):
-            calls.append(kwargs.get("zone_label"))
+            calls.append(args[0])
             return parse_trace(*args, **kwargs)
 
         monkeypatch.setattr(embudget.experiment, "parse_trace", counting_parse_trace)
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert sorted(calls) == ["T1", "T2"]
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        # T1 and T2 name one file, which is parsed once.
+        assert calls == [TRACE_CSV]
+        assert (out / "steps_budget_T2.csv").exists()
 
     def test_scenario_filter(self, tmp_path):
         path = small_experiment(tmp_path)

@@ -71,10 +71,20 @@ class TestGenerator:
         {"base": math.nan}, {"base": math.inf},
         {"amps": (0.0, math.nan)}, {"amps": (math.inf, 0.0)},
         {"cu": math.inf}, {"runtime": math.inf},
+        {"cu": 1.7e308, "cu_jitter": 0.5}, {"runtime": 1.7e308, "runtime_jitter": 0.5},
+        {"cu": 5e-324, "cu_jitter": 0.9}, {"runtime": 5e-324, "runtime_jitter": 0.9},
     ])
     def test_params_that_would_make_invalid_tasks_rejected(self, bad):
         with pytest.raises(WorkloadError):
             params(**bad)
+
+    def test_extreme_jittered_sizes_that_pass_generate(self):
+        # Near the bounds the check allows, every jittered task still passes the row rule.
+        largest = params(base=0.9, cu=1e308, cu_jitter=0.5,
+                         runtime=1e308, runtime_jitter=0.5, slack=0.0)
+        smallest = params(base=0.9, cu=1e-323, cu_jitter=0.4)  # 1e-323 * 0.6 == 5e-324
+        for p in (largest, smallest):
+            assert len(generate_diurnal_trace(p, 300, 4)) > 200
 
     def test_rate_is_circular_across_midnight(self):
         p = params(base=0.0, amps=(1.0, 0.0), times=(0.0, 0.0), width=3600.0)
