@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -142,19 +143,20 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     trace_values = config.trace.values
     trace_step = config.trace.step
 
-    queue = TaskQueue(tasks)
+    queue = TaskQueue(tasks, horizon)
     admit = queue.admit
     allocate = queue.step_allocation
     drop = queue.drop_expired
 
-    # Columns start zeroed (action _SCALE); each step writes only the entries it changes.
+    # Columns start zeroed (action _SCALE); each step writes only the entries it
+    # changes. The queue owns the three that a later queue may answer from.
     power_col = array("d", [0.0]) * horizon
     emission_col = array("d", [0.0]) * horizon
     allowance_col = array("d", [0.0]) * horizon
     util_col = array("d", [0.0]) * horizon
-    demand_col = array("d", [0.0]) * horizon
-    completions_col = array("l", [0]) * horizon
-    drops_col = array("l", [0]) * horizon
+    demand_col = queue.queued_demand
+    completions_col = queue.completions
+    drops_col = queue.drops
     action_col = array("b", [0]) * horizon
     node_col = array("b", [0]) * horizon
 
@@ -249,7 +251,9 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     """Run scenarios independently; output order matches input order.
 
     Each distinct generated workload (parameters, horizon, seed) is generated
-    once and its task table handed to every scenario that uses it. Each report
+    once and its task table handed to every scenario that uses it. Run
+    serially, scenarios that share a table reuse each other's queue runs
+    (see TaskQueue); no record of them outlives the call. Each report
     column byte-identical to an earlier report's is replaced by that array, so
     the grid keeps one copy of each distinct column. No config runs unless all
     are valid: one ScenarioError lists every problem.
@@ -264,7 +268,17 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [_share_columns(r, seen) for r in pool.map(_run_labelled, configs)]
-    return [_share_columns(_run_labelled(c), seen) for c in configs]
+    # A table that two or more scenarios share records their queue runs, so a
+    # later scenario reuses an earlier one's queue work while its inputs agree.
+    users = Counter(id(c.tasks) for c in configs)
+    shared = {id(c.tasks): c.tasks for c in configs if users[id(c.tasks)] > 1}.values()
+    for table in shared:
+        table.queue_runs = []
+    try:
+        return [_share_columns(_run_labelled(c), seen) for c in configs]
+    finally:
+        for table in shared:
+            table.queue_runs = None
 
 
 def _share_columns(report: SimulationReport,

@@ -92,7 +92,7 @@ def load_experiment(path: str | Path) -> Experiment:
     except OSError as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ExperimentError(f"{path}: not valid YAML: {exc}") from exc
+        raise ExperimentError(f"{path}: not valid YAML: {_yaml_problem(exc)}") from exc
     if not isinstance(raw, dict):
         raise ExperimentError(f"{path}: top level must be a mapping")
 
@@ -103,6 +103,14 @@ def load_experiment(path: str | Path) -> Experiment:
         raise ExperimentError(f"{path}: {exc}") from exc
     _check(experiment, trace_refs, replay_path)
     return experiment
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error in one line: a marked error's problem and where, else the message."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None and exc.problem:
+        return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    return " ".join(str(exc).split())
 
 
 def _parse(raw: dict, path: Path) -> tuple[Experiment, list[TraceRef], Path | None]:

@@ -7,6 +7,7 @@ import heapq
 import io
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -35,9 +36,13 @@ class TaskTable:
 
     Each row passes the row rule; rows are in (arrival, id) order, the order in
     which same-second arrivals are admitted, and each id appears once.
+
+    `queue_runs` is None, except while a serial run_matrix shares the table
+    among scenarios: then it lists the table's recorded queue runs, the first
+    and the latest (see TaskQueue).
     """
 
-    __slots__ = TASK_CSV_COLUMNS
+    __slots__ = TASK_CSV_COLUMNS + ("queue_runs",)
 
     def __init__(self, rows) -> None:
         columns = ([], [], [], [], [])
@@ -61,6 +66,7 @@ class TaskTable:
             add_runtime(runtime)
             add_deadline(deadline)
         self.id, self.arrival, self.cu, self.runtime, self.deadline = map(tuple, columns)
+        self.queue_runs: list[TaskQueue] | None = None
 
     def __len__(self) -> int:
         return len(self.id)
@@ -156,10 +162,22 @@ class TaskQueue:
     [work_done, live, cu, total_work], and never writes to the table, so
     scenarios can share one table. The FIFO deque and the deadline heap hold
     the same entries; `live` is False once the task has finished or been
-    dropped.
+    dropped. The queue also owns three per-step columns, for `horizon` steps,
+    that the step loop fills and its report keeps: queued_demand (after the
+    step's admissions), completions and drops.
+
+    While the table lists recorded runs (`table.queue_runs`), the queue records
+    each step's allocation input and used CU. The first queue over the table
+    runs live and is its first recorded run. A later queue follows that run:
+    while its allocation inputs equal the recorded ones, so does its state, and
+    the three public methods answer from the record in O(1). At the first
+    input that differs it follows the table's latest run instead, if that run
+    agrees with the first one up to there. Otherwise it rebuilds its live state
+    by replaying the recorded inputs through the live code, continues live,
+    and becomes the table's latest run.
     """
 
-    def __init__(self, table: TaskTable) -> None:
+    def __init__(self, table: TaskTable, horizon: int = 0) -> None:
         self._table = table
         self._pending: deque[list] = deque()
         self._deadline_heap: list[tuple[float, int, list]] = []
@@ -167,9 +185,34 @@ class TaskQueue:
         self.pending_demand = 0.0  # sum of cu over live pending tasks
         self.finished_count = 0
         self.dropped_count = 0
+        self.queued_demand = array("d", [0.0]) * horizon
+        self.completions = array("l", [0]) * horizon
+        self.drops = array("l", [0]) * horizon
+        self._horizon = horizon
+        # Step t's allocation input (NaN: none) and used CU, while recording.
+        self._inputs: array | None = None
+        self._used: array | None = None
+        # The recorded run answered from (None once live), and the table's
+        # latest run, tried at the first input that differs from the first run's.
+        self._follow: TaskQueue | None = None
+        self._other: TaskQueue | None = None
+        self._next = 0  # one past the last step that allocated while following
+        self._fork: int | None = None  # the first step not answered from the first run
+        runs = table.queue_runs
+        if runs is None:
+            return
+        if runs:
+            self._follow = runs[0]
+            self._other = runs[-1] if len(runs) > 1 else None
+        else:
+            self._record()
+            runs.append(self)
 
     def admit(self, positions: range) -> None:
         """Append the tasks at `positions` of the table, in order."""
+        if self._follow is not None:
+            self.pending_count += len(positions)
+            return
         table = self._table
         for i in positions:
             cu = table.cu[i]
@@ -179,11 +222,23 @@ class TaskQueue:
             self.pending_count += 1
             self.pending_demand += cu
 
-    def step_allocation(self, available_cu: float, now: float) -> tuple[float, int]:
+    def step_allocation(self, available_cu: float, now: int) -> tuple[float, int]:
         """Grant each pending task up to its cu, FIFO, for one 1 s step.
 
         Returns (used_cu, completions). `available_cu` must be >= 0.
         """
+        run = self._follow
+        if run is not None:
+            # 0.0 == -0.0 here, and either input allocates nothing.
+            if available_cu == run._inputs[now]:
+                self._next = now + 1
+                completions = run.completions[now]
+                if completions:
+                    self.finished_count += completions
+                    self.pending_count -= completions
+                return run._used[now], completions
+            self._leave(now, now + 1)
+            return self._allocate(available_cu, now)
         used = 0.0
         completions = 0
         remaining = available_cu
@@ -218,10 +273,33 @@ class TaskQueue:
             pending = self._pending
             while pending and not pending[0][1]:
                 pending.popleft()
+        inputs = self._inputs
+        if inputs is not None:
+            inputs[now] = available_cu
+            self._used[now] = used
         return used, completions
 
-    def drop_expired(self, now: float) -> int:
-        """Remove every pending task whose deadline lies strictly before `now`."""
+    def drop_expired(self, now: int) -> int:
+        """Remove every pending task whose deadline lies strictly before `now`.
+
+        While following, pending_demand reads the demand after this step's
+        admissions from this call on.
+        """
+        run = self._follow
+        if run is not None:
+            if now != self._next and run._inputs[now - 1] == run._inputs[now - 1]:
+                # Step now - 1 allocated nothing here, but did in the run.
+                self._leave(now - 1, now)
+            elif now == run._horizon:
+                self._leave(now, now)
+            else:
+                self.pending_demand = run.queued_demand[now]
+                dropped = run.drops[now]
+                if dropped:
+                    self.dropped_count += dropped
+                    self.pending_count -= dropped
+                return dropped
+            return self._drop(now)
         dropped = 0
         heap = self._deadline_heap
         while heap and heap[0][0] < now:
@@ -240,6 +318,53 @@ class TaskQueue:
             while pending and not pending[0][1]:
                 pending.popleft()
         return dropped
+
+    # The live code under private names: a rebuild replays through these, so a
+    # wrapper around a public name sees only the step loop's calls.
+    _admit = admit
+    _allocate = step_allocation
+    _drop = drop_expired
+
+    def _record(self) -> None:
+        self._inputs = array("d", [math.nan]) * self._horizon
+        self._used = array("d", [0.0]) * self._horizon
+
+    def _leave(self, step: int, stop: int) -> None:
+        """Stop following at `step`, the first step whose allocation input differs.
+
+        The caller then repeats its call. The table's latest run is followed next
+        if it agrees with the first one before `step`. Otherwise the queue
+        replays steps 0 to stop - 1 through the live code, with the followed
+        run's inputs before `step` and none from there on, and runs live.
+        """
+        run, other = self._follow, self._other
+        self._other = None
+        if self._fork is None:
+            self._fork = step
+        if other is not None and other._fork >= step:
+            self._follow = other
+            return
+        self._follow = None
+        self.pending_count = self.finished_count = self.dropped_count = 0
+        self.pending_demand = 0.0
+        self._record()
+        inputs = self._inputs
+        inputs[:step] = run._inputs[:step]
+        arrivals = self._table.arrival
+        count = len(arrivals)
+        i = 0
+        for t in range(stop):
+            self._drop(t)
+            start = i
+            while i < count and arrivals[i] <= t:
+                i += 1
+            if i > start:
+                self._admit(range(start, i))
+            cu = inputs[t]
+            if cu == cu:
+                self._allocate(cu, t)
+        runs = self._table.queue_runs
+        runs[1:] = [self]
 
 
 def export_tasks_csv(tasks: TaskTable) -> str:

@@ -1,11 +1,13 @@
 import math
 import random
 from array import array
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 import embudget.engine
+import embudget.workload
 
 from conftest import constant_trace, make_config, simple_workload
 from embudget.carbon import WS_PER_KWH, CarbonIntensityTrace
@@ -19,6 +21,8 @@ from embudget.engine import (
     run_matrix,
     run_scenario,
 )
+from embudget.experiment import build_scenarios, load_experiment
+from embudget.presets import paper_grid_path
 from embudget.workload import TaskTable, WorkloadError
 from oracle import naive_run
 
@@ -349,6 +353,146 @@ class TestPlanMemo:
         assert list(report.completions) == completions
         assert list(report.drops) == drops
         assert report.finished_tasks > 0 and report.dropped_tasks > 0
+
+
+def window_trace(span, lo=0, hi=0, ci=500.0):
+    """One value a second: `ci` g/kWh on steps lo to hi - 1, 0 g/kWh (no cap) elsewhere."""
+    return CarbonIntensityTrace("w", 0, 1, tuple(ci if lo <= t < hi else 0.0 for t in range(span)))
+
+
+def backlog_tasks(horizon):
+    """20 tasks at step 0, then two a second: more work than the large node serves."""
+    rng = random.Random(5)
+    rows = []
+    for t in range(horizon):
+        for _ in range(20 if t == 0 else 2):
+            rows.append((len(rows), t, rng.uniform(2.0, 8.0), rng.uniform(10.0, 50.0),
+                         t + rng.uniform(30.0, 120.0)))
+    return TaskTable(rows)
+
+
+def first_difference(a, b):
+    return next((t for t, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Scenario label -> walks over the queue's pending tasks, as each live allocation makes."""
+    walked = {}
+    count = [0]
+
+    class CountingDeque(deque):
+        def __iter__(self):
+            count[0] += 1
+            return super().__iter__()
+
+    run = embudget.engine.run_scenario
+
+    def counting_run(config):
+        before = count[0]
+        report = run(config)
+        walked[config.label] = count[0] - before
+        return report
+
+    monkeypatch.setattr(embudget.workload, "deque", CountingDeque)
+    monkeypatch.setattr(embudget.engine, "run_scenario", counting_run)
+    return walked
+
+
+# At 500 g/kWh, THROTTLE caps power at 400 W, below what the backlog asks for;
+# STOP suspends. On a 0 g/kWh step both plan as UNLIMITED does.
+THROTTLE = PolicySpec("fixed", rate_g_per_s=400.0 * 500.0 / WS_PER_KWH)
+STOP = PolicySpec("fixed", rate_g_per_s=0.0)
+H = 240
+
+# Each grid runs over one shared table. A scenario is (label, policy, (lo, hi) of
+# its trace's 500 g/kWh window, horizon). `differs` gives the first step at which
+# a later scenario's power differs from the first scenario's. A label ending in
+# "_again" repeats the scenario before it, so its queue should never run live.
+QUEUE_GRIDS = {
+    "differs_at_step_0": (
+        [("rec", UNLIMITED, (0, 0), H), ("later", THROTTLE, (0, H), H),
+         ("later_again", THROTTLE, (0, H), H)], {"later": 0}),
+    "differs_mid_run": (
+        [("rec", UNLIMITED, (0, 0), H), ("later", THROTTLE, (120, H), H),
+         ("later_again", THROTTLE, (120, H), H)], {"later": 120}),
+    "differs_at_last_step": (
+        [("rec", UNLIMITED, (0, 0), H), ("later", THROTTLE, (H - 1, H), H),
+         ("later_again", THROTTLE, (H - 1, H), H)], {"later": H - 1}),
+    "suspends_where_recorded_allocated": (
+        [("rec", UNLIMITED, (0, 0), H), ("later", STOP, (100, 110), H),
+         ("later_again", STOP, (100, 110), H)], {"later": 100}),
+    "allocates_where_recorded_suspended": (
+        [("rec", STOP, (100, 110), H), ("later", UNLIMITED, (0, 0), H),
+         ("later_again", UNLIMITED, (0, 0), H)], {"later": 100}),
+    "longer_horizon": (
+        [("rec", UNLIMITED, (0, 0), H), ("later", UNLIMITED, (0, 0), 2 * H),
+         ("later_again", UNLIMITED, (0, 0), 2 * H)], {"later": None}),
+    # "earlier" leaves the first run before the latest one ("mid") did.
+    "latest_run": (
+        [("rec", UNLIMITED, (0, 0), H), ("mid", THROTTLE, (120, H), H),
+         ("mid_again", THROTTLE, (120, H), H), ("earlier", THROTTLE, (60, H), H),
+         ("stop", STOP, (100, 110), H), ("stop_again", STOP, (100, 110), H)],
+        {"mid": 120, "earlier": 60, "stop": 100}),
+}
+
+
+def queue_grid(scenarios):
+    tasks = backlog_tasks(2 * H)
+    return tasks, [make_config(label, window_trace(2 * H, lo, hi), horizon, policy, tasks=tasks)
+                   for label, policy, (lo, hi), horizon in scenarios]
+
+
+class TestQueueMemo:
+    @pytest.mark.parametrize("scenarios, differs", QUEUE_GRIDS.values(), ids=QUEUE_GRIDS)
+    def test_grid_reports_equal_solo_runs(self, scenarios, differs, walks):
+        tasks, configs = queue_grid(scenarios)
+        reports = run_matrix(configs)
+        assert tasks.queue_runs is None
+        assert {label: n == 0 for label, n in walks.items()} == {
+            label: label.endswith("_again") for label, *_ in scenarios}
+        for report, config in zip(reports, configs):
+            solo = run_scenario(config)
+            for name in REPORT_COLUMNS:
+                assert getattr(report, name).tobytes() == getattr(solo, name).tobytes(), name
+            assert report == solo
+        first = reports[0]
+        for report in reports[1:]:
+            if report.label in differs:
+                assert first_difference(first.power_w, report.power_w) == differs[report.label]
+
+    def test_workers_give_the_serial_reports(self):
+        _, configs = queue_grid(QUEUE_GRIDS["latest_run"][0])
+        assert run_matrix(configs, workers=2) == run_matrix(configs)
+
+    def test_no_record_outlives_a_failed_grid(self, monkeypatch):
+        tasks, configs = queue_grid(QUEUE_GRIDS["latest_run"][0])
+        run = embudget.engine.run_scenario
+
+        def failing_run(config):
+            report = run(config)
+            assert tasks.queue_runs  # runs are recorded while the grid runs
+            if config.label == "mid_again":
+                raise RuntimeError("stopped")
+            return report
+
+        monkeypatch.setattr(embudget.engine, "run_scenario", failing_run)
+        with pytest.raises(ScenarioError, match="'mid_again' failed: stopped"):
+            run_matrix(configs)
+        assert tasks.queue_runs is None
+
+    def test_bundled_grid_walks_live_in_at_most_five_scenarios(self, walks):
+        # The 18 scenarios make 5 distinct queue runs. Four of those first
+        # follow an earlier run, and leave it within 10 steps.
+        experiment = load_experiment(paper_grid_path())
+        horizon = 3 * 3600
+        scale = horizon / experiment.horizon
+        policies = [(name, replace(spec, budget_total_g=spec.budget_total_g * scale)
+                     if spec.budget_total_g is not None else spec)
+                    for name, spec in experiment.policies]
+        run_matrix(build_scenarios(replace(experiment, horizon=horizon, policies=policies)))
+        assert len(walks) == 18
+        assert sum(n > 10 for n in walks.values()) <= 5, walks
 
 
 class TestDeterminism:

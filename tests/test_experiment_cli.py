@@ -393,10 +393,14 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert "nope.csv" in capsys.readouterr().out
 
-    def test_unparseable_exit_two(self, tmp_path):
+    def test_unparseable_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("]]]")
-        assert main(["validate", str(path)]) == 2
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid YAML: ")
+            assert err[0].endswith(" at line 1, column 1")
 
     def test_dry_run_prints_plan_and_writes_nothing(self, tmp_path, capsys):
         path = small_experiment(tmp_path)
