@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .engine import ScenarioError, run_matrix
 from .experiment import ExperimentError, build_scenarios, load_experiment, validate
-from .reporting import buckets_csv, steps_csv, summarize, summary_csv
+from .reporting import ColumnStats, buckets_csv, steps_csv, summarize, summary_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,16 +89,19 @@ def main(argv: list[str] | None = None) -> int:
     completed: list[str] = []
     try:
         reports = run_matrix(scenarios, workers=max(1, args.workers))
+        # Reports share the arrays of equal columns: each statistic once per array.
+        stats = ColumnStats()
         rows = []
         for report in reports:
             if experiment.outputs_steps:
                 (out_dir / f"steps_{report.label}.csv").write_text(steps_csv(report))
             if experiment.outputs_buckets:
-                (out_dir / f"buckets_{report.label}.csv").write_text(buckets_csv(report))
-            rows.append(summarize(report, experiment.prices))
+                (out_dir / f"buckets_{report.label}.csv").write_text(
+                    buckets_csv(report, stats=stats))
+            rows.append(summarize(report, experiment.prices, stats))
             completed.append(report.label)
             print(f"{report.label}: finished_tasks={report.finished_tasks} "
-                  f"emissions_total_g={report.total_emissions_g:.2f}")
+                  f"emissions_total_g={stats.fsum(report.emission_g):.2f}")
         (out_dir / "summary.csv").write_text(summary_csv(rows))
     except ScenarioError as exc:
         _write_manifest(out_dir, args.experiment, len(scenarios), "failed", completed)

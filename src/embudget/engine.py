@@ -80,6 +80,9 @@ class SimulationReport:
 
     Reports from one run_matrix call may hold the same array object for a
     column whose contents are byte-identical, so callers must not write to them.
+    Reporting relies on that too: within one run it computes each statistic once
+    per distinct column array (see reporting.ColumnStats), keyed by the array's
+    identity, so a column written to after it was read would report stale values.
     """
 
     label: str
@@ -103,10 +106,6 @@ class SimulationReport:
     admitted_tasks: int
     pending_tasks: int
     budget_spent_g: float | None
-
-    @property
-    def total_emissions_g(self) -> float:
-        return math.fsum(self.emission_g)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
@@ -274,8 +273,16 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     shared = {id(c.tasks): c.tasks for c in configs if users[id(c.tasks)] > 1}.values()
     for table in shared:
         table.queue_runs = []
+    reports = []
     try:
-        return [_share_columns(_run_labelled(c), seen) for c in configs]
+        for config in configs:
+            table = config.tasks
+            users[id(table)] -= 1
+            if not users[id(table)] and table.queue_runs is not None:
+                # No later scenario reads a record: the last one follows, records nothing.
+                table.queue_runs = tuple(table.queue_runs)
+            reports.append(_share_columns(_run_labelled(config), seen))
+        return reports
     finally:
         for table in shared:
             table.queue_runs = None

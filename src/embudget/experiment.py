@@ -88,11 +88,13 @@ def load_experiment(path: str | Path) -> Experiment:
     """
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        text = path.read_text()
     except OSError as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
+    try:
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ExperimentError(f"{path}: not valid YAML: {_yaml_problem(exc)}") from exc
+        raise ExperimentError(f"{path}: not valid YAML: {_yaml_problem(exc, text)}") from exc
     if not isinstance(raw, dict):
         raise ExperimentError(f"{path}: top level must be a mapping")
 
@@ -105,11 +107,22 @@ def load_experiment(path: str | Path) -> Experiment:
     return experiment
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
-    """A YAML error in one line: a marked error's problem and where, else the message."""
+def _yaml_problem(exc: yaml.YAMLError, text: str) -> str:
+    """A YAML error in one line: its problem and where in `text`, else the message."""
     mark = getattr(exc, "problem_mark", None)
     if mark is not None and exc.problem:
         return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    if isinstance(exc, yaml.reader.ReaderError):
+        # A reader error has an offset, not a mark: the Python reader counts
+        # characters, libyaml bytes of the UTF-8 text it was handed.
+        if issubclass(_YAML_LOADER, yaml.reader.Reader):
+            before = text[:exc.position]
+        else:
+            before = text.encode()[:exc.position].decode(errors="replace")
+        # Every YAML line break is one to splitlines; the sentinel keeps the last line.
+        lines = (before + "\0").splitlines()
+        return (f"unacceptable character #x{exc.character:04x}: {exc.reason} "
+                f"at line {len(lines)}, column {len(lines[-1])}")
     return " ".join(str(exc).split())
 
 

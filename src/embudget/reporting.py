@@ -33,29 +33,69 @@ class SummaryRow:
     finished_tasks: int
 
 
+class ColumnStats:
+    """The statistics reporting reads from report columns, each computed once per array.
+
+    Reports from one run_matrix call may hold the same array for a column whose
+    contents are byte-identical (see SimulationReport). One memo passed to
+    summarize and buckets_csv for every report of a run computes each whole-column
+    fsum, median and set of bucket sums once per distinct array, and a statistic
+    read twice for one report once. Entries are keyed by the array's id() and hold
+    the array, so no id is reused while the memo lives: make one per run and drop
+    it with the run's reports. The columns must not change while it is in use.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[tuple, tuple[Sequence[float], object]] = {}
+
+    def _get(self, statistic, column: Sequence[float], *args):
+        key = (statistic, id(column), *args)
+        entry = self._values.get(key)
+        if entry is None:
+            entry = self._values[key] = (column, statistic(column, *args))
+        return entry[1]
+
+    def fsum(self, column: Sequence[float]) -> float:
+        return self._get(math.fsum, column)
+
+    def median(self, column: Sequence[float]) -> float:
+        return self._get(statistics.median, column)
+
+    def bucket_sums(self, column: Sequence[float], bucket: int) -> list[float]:
+        """aggregate(column, bucket, "sum")."""
+        return self._get(aggregate, column, bucket)
+
+
 def emission_cost_eur(total_kg: float, price_eur_per_ton: float) -> float:
     """Cost of emissions at a carbon price; full precision, rounding is display-only."""
     return total_kg / 1000.0 * price_eur_per_ton
 
 
 def summarize(report: SimulationReport,
-              prices: Sequence[float] = DEFAULT_PRICES_EUR_PER_TON) -> SummaryRow:
-    """Mean/median/total statistics over every horizon step, suspended steps included."""
+              prices: Sequence[float] = DEFAULT_PRICES_EUR_PER_TON,
+              stats: ColumnStats | None = None) -> SummaryRow:
+    """Mean/median/total statistics over every horizon step, suspended steps included.
+
+    `stats` is the run's column memo; without one, each statistic is computed here.
+    """
     if report.horizon == 0 or len(report.power_w) == 0:
         raise ReportError("cannot summarize an empty report")
+    if stats is None:
+        stats = ColumnStats()
     power = report.power_w
     emission = report.emission_g
     n = len(power)
-    total_g = math.fsum(emission)
+    power_total = stats.fsum(power)
+    total_g = stats.fsum(emission)
     total_kg = total_g / 1000.0
     ordered_prices = sorted(prices)
     return SummaryRow(
         label=report.label,
-        power_mean_w=math.fsum(power) / n,
-        power_median_w=statistics.median(power),
-        energy_kwh=math.fsum(power) / WS_PER_KWH,
+        power_mean_w=power_total / n,
+        power_median_w=stats.median(power),
+        energy_kwh=power_total / WS_PER_KWH,
         emissions_mean_mg=total_g / n * 1000.0,
-        emissions_median_mg=statistics.median(emission) * 1000.0,
+        emissions_median_mg=stats.median(emission) * 1000.0,
         emissions_total_kg=total_kg,
         costs_eur=tuple((p, emission_cost_eur(total_kg, p)) for p in ordered_prices),
         finished_tasks=report.finished_tasks,
@@ -122,16 +162,24 @@ def steps_csv(report: SimulationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def buckets_csv(report: SimulationReport, bucket: int = SIX_HOURS) -> str:
-    """Plot-ready aggregates: summed completions/emissions and mean power per bucket."""
-    completions = aggregate(report.completions, bucket, "sum")
-    emissions = aggregate(report.emission_g, bucket, "sum")
-    emission_means = aggregate(report.emission_g, bucket, "mean")
-    power_means = aggregate(report.power_w, bucket, "mean")
+def buckets_csv(report: SimulationReport, bucket: int = SIX_HOURS,
+                stats: ColumnStats | None = None) -> str:
+    """Plot-ready aggregates: summed completions/emissions and mean power per bucket.
+
+    `stats` is the run's column memo; without one, each bucket sum is computed here.
+    """
+    if stats is None:
+        stats = ColumnStats()
+    completions = stats.bucket_sums(report.completions, bucket)
+    emissions = stats.bucket_sums(report.emission_g, bucket)
+    powers = stats.bucket_sums(report.power_w, bucket)
+    n = len(report.power_w)
     lines = ["bucket_start_s,completions_sum,emission_sum_g,emission_mean_g,power_mean_w"]
     for i in range(len(completions)):
+        start = i * bucket
+        size = min(bucket, n - start)  # as aggregate's "mean" mode divides
         lines.append(
-            f"{i * bucket},{completions[i]:.0f},{emissions[i]:.9g},"
-            f"{emission_means[i]:.9g},{power_means[i]:.6f}"
+            f"{start},{completions[i]:.0f},{emissions[i]:.9g},"
+            f"{emissions[i] / size:.9g},{powers[i] / size:.6f}"
         )
     return "\n".join(lines) + "\n"

@@ -39,7 +39,9 @@ class TaskTable:
 
     `queue_runs` is None, except while a serial run_matrix shares the table
     among scenarios: then it lists the table's recorded queue runs, the first
-    and the latest (see TaskQueue).
+    and the latest (see TaskQueue). For the last scenario over the table it is
+    a tuple: that queue follows the recorded runs but records nothing, since
+    no later queue could read the record.
     """
 
     __slots__ = TASK_CSV_COLUMNS + ("queue_runs",)
@@ -66,7 +68,7 @@ class TaskTable:
             add_runtime(runtime)
             add_deadline(deadline)
         self.id, self.arrival, self.cu, self.runtime, self.deadline = map(tuple, columns)
-        self.queue_runs: list[TaskQueue] | None = None
+        self.queue_runs: list[TaskQueue] | tuple[TaskQueue, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.id)
@@ -174,7 +176,8 @@ class TaskQueue:
     input that differs it follows the table's latest run instead, if that run
     agrees with the first one up to there. Otherwise it rebuilds its live state
     by replaying the recorded inputs through the live code, continues live,
-    and becomes the table's latest run.
+    and becomes the table's latest run. A queue over a tuple of runs (the
+    table's last user) follows them the same way but never records.
     """
 
     def __init__(self, table: TaskTable, horizon: int = 0) -> None:
@@ -335,7 +338,9 @@ class TaskQueue:
         The caller then repeats its call. The table's latest run is followed next
         if it agrees with the first one before `step`. Otherwise the queue
         replays steps 0 to stop - 1 through the live code, with the followed
-        run's inputs before `step` and none from there on, and runs live.
+        run's inputs before `step` and none from there on, and runs live; it
+        records and becomes the latest run unless the table's runs are closed
+        to new records (a tuple).
         """
         run, other = self._follow, self._other
         self._other = None
@@ -347,9 +352,11 @@ class TaskQueue:
         self._follow = None
         self.pending_count = self.finished_count = self.dropped_count = 0
         self.pending_demand = 0.0
-        self._record()
-        inputs = self._inputs
-        inputs[:step] = run._inputs[:step]
+        runs = self._table.queue_runs
+        recording = isinstance(runs, list)
+        if recording:
+            self._record()
+        inputs = run._inputs
         arrivals = self._table.arrival
         count = len(arrivals)
         i = 0
@@ -360,11 +367,12 @@ class TaskQueue:
                 i += 1
             if i > start:
                 self._admit(range(start, i))
-            cu = inputs[t]
-            if cu == cu:
-                self._allocate(cu, t)
-        runs = self._table.queue_runs
-        runs[1:] = [self]
+            if t < step:
+                cu = inputs[t]
+                if cu == cu:
+                    self._allocate(cu, t)
+        if recording:
+            runs[1:] = [self]
 
 
 def export_tasks_csv(tasks: TaskTable) -> str:

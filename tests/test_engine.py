@@ -23,7 +23,7 @@ from embudget.engine import (
 )
 from embudget.experiment import build_scenarios, load_experiment
 from embudget.presets import paper_grid_path
-from embudget.workload import TaskTable, WorkloadError
+from embudget.workload import TaskQueue, TaskTable, WorkloadError
 from oracle import naive_run
 
 EXACT_RATE = 10_080.0 / 604_800.0
@@ -434,6 +434,10 @@ QUEUE_GRIDS = {
          ("mid_again", THROTTLE, (120, H), H), ("earlier", THROTTLE, (60, H), H),
          ("stop", STOP, (100, 110), H), ("stop_again", STOP, (100, 110), H)],
         {"mid": 120, "earlier": 60, "stop": 100}),
+    # The last scenario leaves both recorded runs and runs live.
+    "last_leaves": (
+        [("rec", UNLIMITED, (0, 0), H), ("mid", THROTTLE, (120, H), H),
+         ("last", THROTTLE, (60, H), H)], {"mid": 120, "last": 60}),
 }
 
 
@@ -460,6 +464,23 @@ class TestQueueMemo:
         for report in reports[1:]:
             if report.label in differs:
                 assert first_difference(first.power_w, report.power_w) == differs[report.label]
+
+    def test_last_scenario_over_a_table_records_nothing(self, monkeypatch):
+        queues = []
+
+        def keeping_queue(table, horizon=0):
+            queues.append(TaskQueue(table, horizon))
+            return queues[-1]
+
+        monkeypatch.setattr(embudget.engine, "TaskQueue", keeping_queue)
+        _, configs = queue_grid(QUEUE_GRIDS["last_leaves"][0])
+        reports = run_matrix(configs)
+        rec, mid, last = queues
+        assert last._follow is None  # it left the recorded runs and ran live
+        assert rec._inputs is not None and mid._inputs is not None
+        assert last._inputs is None and last._used is None
+        for report, config in zip(reports, configs):
+            assert report == run_scenario(config)
 
     def test_workers_give_the_serial_reports(self):
         _, configs = queue_grid(QUEUE_GRIDS["latest_run"][0])

@@ -1,14 +1,19 @@
+import gc
 import math
+import statistics
 import textwrap
+import weakref
+from array import array
 from dataclasses import replace
 
 import pytest
 import yaml
 
+import embudget.cli
 import embudget.engine
 import embudget.experiment
 from embudget.cli import main
-from embudget.engine import run_matrix
+from embudget.engine import REPORT_COLUMNS, run_matrix
 from embudget.experiment import (
     ExperimentError,
     build_scenarios,
@@ -16,6 +21,7 @@ from embudget.experiment import (
     validate,
 )
 from embudget.presets import paper_grid_path
+from embudget.reporting import buckets_csv, summarize, summary_csv
 from embudget.workload import TaskTable, WorkloadError, export_tasks_csv
 
 TRACE_CSV = textwrap.dedent("""\
@@ -402,6 +408,21 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid YAML: ")
             assert err[0].endswith(" at line 1, column 1")
 
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_control_character_names_line_and_column(self, tmp_path, capsys, monkeypatch,
+                                                     loader):
+        # libyaml reports the offset in UTF-8 bytes (17), the Python reader in characters (15).
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(embudget.experiment, "_YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "bad.yaml"
+        path.write_text("a: \u00e9\u00e9\nb: 2\nc: x\x07y\n", encoding="utf-8")
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid YAML: ")
+            assert "#x0007" in err[0] and err[0].endswith(" at line 3, column 5")
+
     def test_dry_run_prints_plan_and_writes_nothing(self, tmp_path, capsys):
         path = small_experiment(tmp_path)
         out = tmp_path / "dry_out"
@@ -504,3 +525,74 @@ class TestCli:
         err = capsys.readouterr().err
         assert "scenario 'unlimited_T1' failed: generator broke" in err
         assert "status: failed" in (out / "manifest.txt").read_text()
+
+
+def shared_column_experiment(tmp_path):
+    """small_experiment over two traces: the unlimited reports share their power column."""
+    path = small_experiment(tmp_path)
+    (tmp_path / "trace2.csv").write_text(TRACE_CSV.replace(",120", ",90"))
+    raw = yaml.safe_load(path.read_text())
+    raw["traces"]["T2"] = {"path": "trace2.csv"}
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+@pytest.fixture
+def run_reports(monkeypatch):
+    """Each cli run's reports, as run_matrix returned them."""
+    runs = []
+
+    def keeping_run_matrix(configs, workers=1):
+        runs.append(run_matrix(configs, workers=workers))
+        return runs[-1]
+
+    monkeypatch.setattr(embudget.cli, "run_matrix", keeping_run_matrix)
+    return runs
+
+
+class TestRunStatistics:
+    """`embudget run` computes each statistic once per distinct column array."""
+
+    def test_shared_power_median_computed_once(self, tmp_path, monkeypatch, run_reports):
+        medians = []
+        median = statistics.median
+
+        def counting_median(data):
+            medians.append(id(data))
+            return median(data)
+
+        monkeypatch.setattr(statistics, "median", counting_median)
+        assert main(["run", str(shared_column_experiment(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+        [reports] = run_reports
+        power = [id(r.power_w) for r in reports]
+        assert len(reports) == 6 and len(set(power)) < len(power)
+        assert all(medians.count(i) == 1 for i in power), medians
+
+    def test_outputs_equal_unshared_reports(self, tmp_path, run_reports):
+        path = shared_column_experiment(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        [reports] = run_reports
+        copies = [replace(r, **{name: array(getattr(r, name).typecode, getattr(r, name))
+                                for name in REPORT_COLUMNS}) for r in reports]
+        prices = load_experiment(path).prices
+        assert (out / "summary.csv").read_text() == summary_csv(
+            [summarize(r, prices) for r in copies])
+        for r in copies:
+            assert (out / f"buckets_{r.label}.csv").read_text() == buckets_csv(r)
+
+    def test_no_column_outlives_the_run(self, tmp_path, monkeypatch):
+        columns = []
+
+        def watching_run_matrix(configs, workers=1):
+            reports = run_matrix(configs, workers=workers)
+            columns.extend(weakref.ref(getattr(r, name)) for r in reports
+                           for name in REPORT_COLUMNS)
+            return reports
+
+        monkeypatch.setattr(embudget.cli, "run_matrix", watching_run_matrix)
+        assert main(["run", str(shared_column_experiment(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+        assert columns and all(ref() is None for ref in columns)

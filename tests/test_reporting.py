@@ -1,12 +1,15 @@
 import math
+import statistics
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from embudget.carbon import WS_PER_KWH
 from embudget.engine import PolicySpec, SimulationReport
 from embudget.reporting import (
     DEFAULT_PRICES_EUR_PER_TON,
+    ColumnStats,
     ReportError,
     aggregate,
     buckets_csv,
@@ -175,6 +178,81 @@ class TestCsvOutput:
         assert len(lines) == 4  # header + ceil(10/4) buckets
         assert lines[1].split(",")[0] == "0"
         assert lines[2].split(",")[0] == "4"
+
+
+def reference_summary(report, prices=DEFAULT_PRICES_EUR_PER_TON):
+    """summarize's statistics computed directly, each read on its own."""
+    power, emission = report.power_w, report.emission_g
+    n = len(power)
+    total_kg = math.fsum(emission) / 1000.0
+    return (math.fsum(power) / n, statistics.median(power), math.fsum(power) / WS_PER_KWH,
+            math.fsum(emission) / n * 1000.0, statistics.median(emission) * 1000.0, total_kg,
+            tuple((p, total_kg / 1000.0 * p) for p in sorted(prices)))
+
+
+def reference_buckets(report, bucket):
+    """buckets_csv's text from aggregate in its sum and mean modes."""
+    completions = aggregate(report.completions, bucket, "sum")
+    emissions = aggregate(report.emission_g, bucket, "sum")
+    emission_means = aggregate(report.emission_g, bucket, "mean")
+    power_means = aggregate(report.power_w, bucket, "mean")
+    lines = ["bucket_start_s,completions_sum,emission_sum_g,emission_mean_g,power_mean_w"]
+    lines += [f"{i * bucket},{completions[i]:.0f},{emissions[i]:.9g},"
+              f"{emission_means[i]:.9g},{power_means[i]:.6f}" for i in range(len(completions))]
+    return "\n".join(lines) + "\n"
+
+
+steps = st.lists(st.tuples(st.floats(0, 1e4), st.floats(0, 10), st.integers(0, 50)),
+                 min_size=1, max_size=60)
+
+
+class TestColumnStats:
+    @settings(max_examples=60, deadline=None)
+    @given(steps, st.integers(1, 25))
+    def test_alone_gives_the_direct_statistics(self, rows, bucket):
+        power, emission, completions = zip(*rows)
+        report = make_report(power, emission)
+        report.completions = array("l", completions)
+        row = summarize(report, (700.0, 80.0))
+        assert (row.power_mean_w, row.power_median_w, row.energy_kwh, row.emissions_mean_mg,
+                row.emissions_median_mg, row.emissions_total_kg,
+                row.costs_eur) == reference_summary(report, (700.0, 80.0))
+        assert buckets_csv(report, bucket) == reference_buckets(report, bucket)
+
+    def test_shared_memo_gives_each_report_its_own_values(self):
+        shared_power = array("d", [0.0, 600.0, 250.0, 250.0, 90.5])
+        reports = [make_report([0.0] * 5, [k * 1e-3 for k in range(5)], label=label)
+                   for label in ("a", "b", "c")]
+        reports[0].power_w = reports[1].power_w = shared_power
+        reports[2].emission_g = reports[1].emission_g
+        stats = ColumnStats()
+        for report in reports + reports:
+            assert summarize(report, stats=stats) == summarize(report)
+            assert buckets_csv(report, 2, stats) == reference_buckets(report, 2)
+            assert stats.fsum(report.emission_g) == math.fsum(report.emission_g)
+
+    def test_each_statistic_once_per_array(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def counted(column, *args):
+                calls.append((name, id(column), *args))
+                return fn(column, *args)
+            return counted
+
+        monkeypatch.setattr(math, "fsum", counting("fsum", math.fsum))
+        monkeypatch.setattr(statistics, "median", counting("median", statistics.median))
+        report = make_report([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        other = make_report([0.0] * 3, [0.5] * 3)
+        other.power_w = report.power_w
+        stats = ColumnStats()
+        for r in (report, other):
+            summarize(r, stats=stats)
+            stats.fsum(r.emission_g)
+        assert sorted(calls) == sorted([
+            ("fsum", id(report.power_w)), ("median", id(report.power_w)),
+            ("fsum", id(report.emission_g)), ("median", id(report.emission_g)),
+            ("fsum", id(other.emission_g)), ("median", id(other.emission_g))])
 
 
 class TestDefaults:
