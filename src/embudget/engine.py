@@ -148,14 +148,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     drop = queue.drop_expired
 
     # Columns start zeroed (action _SCALE); each step writes only the entries it
-    # changes. The queue owns the three that a later queue may answer from.
+    # changes. The queue writes its own three, queued_demand, completions and
+    # drops, which a later queue may answer from; the report keeps them.
     power_col = array("d", [0.0]) * horizon
     emission_col = array("d", [0.0]) * horizon
     allowance_col = array("d", [0.0]) * horizon
     util_col = array("d", [0.0]) * horizon
-    demand_col = queue.queued_demand
-    completions_col = queue.completions
-    drops_col = queue.drops
     action_col = array("b", [0]) * horizon
     node_col = array("b", [0]) * horizon
 
@@ -173,7 +171,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         if t % trace_step == 0:
             ci_ws = trace_values[t // trace_step] / WS_PER_KWH
 
-        dropped = drop(t)
+        drop(t)
         start = ai
         while ai < ntasks and arrivals[ai] <= t:
             ai += 1
@@ -198,13 +196,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             cur_idx = None
             action_col[t] = _SUSPEND
             node_col[t] = -1
+            allocate(0.0, t)  # grants nothing: one allocation input every step
         else:
             if idx != cur_idx:
                 action_col[t] = _MIGRATE
                 cur_idx = idx
             spec = specs[idx]
             capacity = spec.capacity
-            used, completions = allocate(planned_u * capacity, t)
+            used, _ = allocate(planned_u * capacity, t)
             util = used / capacity
             power = spec.idle_power + (spec.peak_power - spec.idle_power) * util
             emission = power * ci_ws
@@ -213,13 +212,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             power_col[t] = power
             emission_col[t] = emission
             util_col[t] = util
-            completions_col[t] = completions
             node_col[t] = idx
 
         allowance_col[t] = allowance
-        demand_col[t] = demand
-        if dropped:
-            drops_col[t] = dropped
 
     return SimulationReport(
         label=config.label,
@@ -233,9 +228,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         emission_g=emission_col,
         allowance_g=allowance_col,
         utilization=util_col,
-        queued_demand=demand_col,
-        completions=completions_col,
-        drops=drops_col,
+        queued_demand=queue.queued_demand,
+        completions=queue.completions,
+        drops=queue.drops,
         action=action_col,
         node_index=node_col,
         finished_tasks=queue.finished_count,

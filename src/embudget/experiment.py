@@ -81,16 +81,19 @@ def _require(mapping: dict, key: str, context: str):
 def load_experiment(path: str | Path) -> Experiment:
     """Parse an experiment YAML file and run the check pass on it.
 
-    Malformed structure raises ExperimentError. Every other reason the
-    experiment would not run, such as a missing trace or a bad replay row, is
-    recorded in `problems`; each distinct trace file and the replay file is
-    read once, here.
+    Malformed structure, or an experiment file that is not UTF-8, raises
+    ExperimentError. Every other reason the experiment would not run, such as a
+    missing trace or a bad replay row, is recorded in `problems`; each distinct
+    trace file and the replay file is read once, here. Every file is read as
+    UTF-8, whatever the locale.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ExperimentError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -226,7 +229,7 @@ def load_trace(ref: TraceRef, parsed: dict) -> CarbonIntensityTrace:
     """
     key = (os.path.realpath(ref.path), ref.columns)
     if key not in parsed:
-        text = ref.path.read_text()
+        text = ref.path.read_text(encoding="utf-8")
         try:
             parsed[key] = parse_trace(text, ref.columns)
         except ValueError as exc:  # TraceError; its message names no path
@@ -255,7 +258,7 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
         problems.append("no workload or replay declared")
     if replay_path is not None:
         try:
-            experiment.tasks = import_tasks_csv(replay_path.read_text())
+            experiment.tasks = import_tasks_csv(replay_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: WorkloadError or bad encoding
             problems.append(f"replay {replay_path}: {exc}")
     if any(not p > 0 for p in experiment.prices):

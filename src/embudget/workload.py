@@ -164,23 +164,26 @@ class TaskQueue:
     [work_done, live, cu, total_work], and never writes to the table, so
     scenarios can share one table. The FIFO deque and the deadline heap hold
     the same entries; `live` is False once the task has finished or been
-    dropped. The queue also owns three per-step columns, for `horizon` steps,
-    that the step loop fills and its report keeps: queued_demand (after the
-    step's admissions), completions and drops.
+    dropped. The queue writes its own record of the run, three per-step
+    columns for `horizon` steps that the step loop's report keeps:
+    queued_demand (the demand step_allocation is called with, after the step's
+    admissions), completions and drops.
 
-    While the table lists recorded runs (`table.queue_runs`), the queue records
-    each step's allocation input and used CU. The first queue over the table
-    runs live and is its first recorded run. A later queue follows that run:
-    while its allocation inputs equal the recorded ones, so does its state, and
-    the three public methods answer from the record in O(1). At the first
-    input that differs it follows the table's latest run instead, if that run
-    agrees with the first one up to there. Otherwise it rebuilds its live state
-    by replaying the recorded inputs through the live code, continues live,
+    The step loop calls drop_expired, admit and step_allocation once a step,
+    in that order; a suspended step allocates 0 CU. While the table lists
+    recorded runs (`table.queue_runs`), the queue also logs each step's
+    allocation input and used CU. The first queue over the table runs live
+    and is its first recorded run. A later queue follows that run: while its
+    allocation inputs equal the recorded ones, so does its state, and the
+    three public methods answer from the record in O(1). Where it leaves the
+    first run, it follows the table's latest run if that run's inputs agree
+    with the first's up to there. Otherwise it rebuilds its live state by
+    replaying the followed run's inputs through the live code, continues live,
     and becomes the table's latest run. A queue over a tuple of runs (the
     table's last user) follows them the same way but never records.
     """
 
-    def __init__(self, table: TaskTable, horizon: int = 0) -> None:
+    def __init__(self, table: TaskTable, horizon: int) -> None:
         self._table = table
         self._pending: deque[list] = deque()
         self._deadline_heap: list[tuple[float, int, list]] = []
@@ -192,21 +195,16 @@ class TaskQueue:
         self.completions = array("l", [0]) * horizon
         self.drops = array("l", [0]) * horizon
         self._horizon = horizon
-        # Step t's allocation input (NaN: none) and used CU, while recording.
+        # Step t's allocation input and used CU, while recording.
         self._inputs: array | None = None
         self._used: array | None = None
-        # The recorded run answered from (None once live), and the table's
-        # latest run, tried at the first input that differs from the first run's.
+        # The recorded run answered from; None once live.
         self._follow: TaskQueue | None = None
-        self._other: TaskQueue | None = None
-        self._next = 0  # one past the last step that allocated while following
-        self._fork: int | None = None  # the first step not answered from the first run
         runs = table.queue_runs
         if runs is None:
             return
         if runs:
             self._follow = runs[0]
-            self._other = runs[-1] if len(runs) > 1 else None
         else:
             self._record()
             runs.append(self)
@@ -230,13 +228,15 @@ class TaskQueue:
 
         Returns (used_cu, completions). `available_cu` must be >= 0.
         """
+        demand = self.pending_demand
+        self.queued_demand[now] = demand
         run = self._follow
         if run is not None:
             # 0.0 == -0.0 here, and either input allocates nothing.
             if available_cu == run._inputs[now]:
-                self._next = now + 1
                 completions = run.completions[now]
                 if completions:
+                    self.completions[now] = completions
                     self.finished_count += completions
                     self.pending_count -= completions
                 return run._used[now], completions
@@ -245,7 +245,6 @@ class TaskQueue:
         used = 0.0
         completions = 0
         remaining = available_cu
-        demand = self.pending_demand
         for entry in self._pending:
             if remaining <= 1e-12:
                 break
@@ -270,6 +269,7 @@ class TaskQueue:
             else:
                 entry[0] = done
         if completions:
+            self.completions[now] = completions
             self.finished_count += completions
             self.pending_count -= completions
             self.pending_demand = demand if self.pending_count else 0.0
@@ -290,19 +290,16 @@ class TaskQueue:
         """
         run = self._follow
         if run is not None:
-            if now != self._next and run._inputs[now - 1] == run._inputs[now - 1]:
-                # Step now - 1 allocated nothing here, but did in the run.
-                self._leave(now - 1, now)
-            elif now == run._horizon:
+            if now == run._horizon:
                 self._leave(now, now)
-            else:
-                self.pending_demand = run.queued_demand[now]
-                dropped = run.drops[now]
-                if dropped:
-                    self.dropped_count += dropped
-                    self.pending_count -= dropped
-                return dropped
-            return self._drop(now)
+                return self._drop(now)
+            self.pending_demand = run.queued_demand[now]
+            dropped = run.drops[now]
+            if dropped:
+                self.drops[now] = dropped
+                self.dropped_count += dropped
+                self.pending_count -= dropped
+            return dropped
         dropped = 0
         heap = self._deadline_heap
         while heap and heap[0][0] < now:
@@ -313,6 +310,7 @@ class TaskQueue:
             dropped += 1
             self.pending_demand -= entry[2]
         if dropped:
+            self.drops[now] = dropped
             self.dropped_count += dropped
             self.pending_count -= dropped
             if self.pending_count == 0:
@@ -329,30 +327,33 @@ class TaskQueue:
     _drop = drop_expired
 
     def _record(self) -> None:
-        self._inputs = array("d", [math.nan]) * self._horizon
+        self._inputs = array("d", [0.0]) * self._horizon
         self._used = array("d", [0.0]) * self._horizon
 
     def _leave(self, step: int, stop: int) -> None:
-        """Stop following at `step`, the first step whose allocation input differs.
+        """Stop following the run followed so far at `step`, where it no longer answers.
 
-        The caller then repeats its call. The table's latest run is followed next
-        if it agrees with the first one before `step`. Otherwise the queue
-        replays steps 0 to stop - 1 through the live code, with the followed
-        run's inputs before `step` and none from there on, and runs live; it
-        records and becomes the latest run unless the table's runs are closed
-        to new records (a tuple).
+        That is the first step whose allocation input differs, or the run's
+        horizon. The caller then repeats its call. A queue leaving the table's
+        first run follows the table's latest run next, if that is another run
+        whose horizon passes `step` and whose inputs before `step` equal the
+        first run's. Otherwise the queue replays steps 0 to stop - 1 through
+        the live code, allocating the followed run's inputs before `step`, and
+        runs live; it records and becomes the latest run unless the table's
+        runs are closed to new records (a tuple).
         """
-        run, other = self._follow, self._other
-        self._other = None
-        if self._fork is None:
-            self._fork = step
-        if other is not None and other._fork >= step:
-            self._follow = other
+        run = self._follow
+        runs = self._table.queue_runs
+        latest = runs[-1]
+        # A follower follows the first run or the latest, so `latest is not run`
+        # holds exactly when it leaves the first run for another one.
+        if (latest is not run and latest._horizon > step
+                and latest._inputs[:step] == run._inputs[:step]):
+            self._follow = latest
             return
         self._follow = None
         self.pending_count = self.finished_count = self.dropped_count = 0
         self.pending_demand = 0.0
-        runs = self._table.queue_runs
         recording = isinstance(runs, list)
         if recording:
             self._record()
@@ -368,9 +369,7 @@ class TaskQueue:
             if i > start:
                 self._admit(range(start, i))
             if t < step:
-                cu = inputs[t]
-                if cu == cu:
-                    self._allocate(cu, t)
+                self._allocate(inputs[t], t)
         if recording:
             runs[1:] = [self]
 

@@ -360,11 +360,14 @@ def window_trace(span, lo=0, hi=0, ci=500.0):
     return CarbonIntensityTrace("w", 0, 1, tuple(ci if lo <= t < hi else 0.0 for t in range(span)))
 
 
-def backlog_tasks(horizon):
-    """20 tasks at step 0, then two a second: more work than the large node serves."""
+def backlog_tasks(horizon, arrivals_end=None):
+    """20 tasks at step 0, then two a second: more work than the large node serves.
+
+    No task arrives from step `arrivals_end` on, if given.
+    """
     rng = random.Random(5)
     rows = []
-    for t in range(horizon):
+    for t in range(horizon if arrivals_end is None else arrivals_end):
         for _ in range(20 if t == 0 else 2):
             rows.append((len(rows), t, rng.uniform(2.0, 8.0), rng.uniform(10.0, 50.0),
                          t + rng.uniform(30.0, 120.0)))
@@ -408,7 +411,8 @@ H = 240
 # Each grid runs over one shared table. A scenario is (label, policy, (lo, hi) of
 # its trace's 500 g/kWh window, horizon). `differs` gives the first step at which
 # a later scenario's power differs from the first scenario's. A label ending in
-# "_again" repeats the scenario before it, so its queue should never run live.
+# "_again" gives its queue the inputs of an earlier run (most repeat the scenario
+# before them), so its queue should never run live.
 QUEUE_GRIDS = {
     "differs_at_step_0": (
         [("rec", UNLIMITED, (0, 0), H), ("later", THROTTLE, (0, H), H),
@@ -438,19 +442,35 @@ QUEUE_GRIDS = {
     "last_leaves": (
         [("rec", UNLIMITED, (0, 0), H), ("mid", THROTTLE, (120, H), H),
          ("last", THROTTLE, (60, H), H)], {"mid": 120, "last": 60}),
+    # The queue is empty from step 180 on (see QUIET_FROM), so the recorded run
+    # allocates 0 CU where the later one suspends: that one follows throughout.
+    "suspends_where_recorded_idled": (
+        [("rec", UNLIMITED, (0, 0), H), ("stop_again", STOP, (200, 220), H)],
+        {"stop_again": 200}),
+    # The latest run ("short") ends before "later" leaves the first run, so
+    # "later" replays; "later_again" then follows "later" from step 180.
+    "latest_run_ended": (
+        [("rec", UNLIMITED, (0, 0), H), ("short", THROTTLE, (60, H), 120),
+         ("later", THROTTLE, (180, H), H), ("later_again", THROTTLE, (180, H), H)],
+        {"short": 60, "later": 180}),
 }
 
+# Grids whose table has no arrivals from the given step on. The backlog's last
+# deadline then passes within 120 steps, so from there on the queue is empty.
+QUIET_FROM = {"suspends_where_recorded_idled": 60}
 
-def queue_grid(scenarios):
-    tasks = backlog_tasks(2 * H)
+
+def queue_grid(scenarios, arrivals_end=None):
+    tasks = backlog_tasks(2 * H, arrivals_end)
     return tasks, [make_config(label, window_trace(2 * H, lo, hi), horizon, policy, tasks=tasks)
                    for label, policy, (lo, hi), horizon in scenarios]
 
 
 class TestQueueMemo:
-    @pytest.mark.parametrize("scenarios, differs", QUEUE_GRIDS.values(), ids=QUEUE_GRIDS)
-    def test_grid_reports_equal_solo_runs(self, scenarios, differs, walks):
-        tasks, configs = queue_grid(scenarios)
+    @pytest.mark.parametrize("grid", QUEUE_GRIDS)
+    def test_grid_reports_equal_solo_runs(self, grid, walks):
+        scenarios, differs = QUEUE_GRIDS[grid]
+        tasks, configs = queue_grid(scenarios, QUIET_FROM.get(grid))
         reports = run_matrix(configs)
         assert tasks.queue_runs is None
         assert {label: n == 0 for label, n in walks.items()} == {
@@ -468,7 +488,7 @@ class TestQueueMemo:
     def test_last_scenario_over_a_table_records_nothing(self, monkeypatch):
         queues = []
 
-        def keeping_queue(table, horizon=0):
+        def keeping_queue(table, horizon):
             queues.append(TaskQueue(table, horizon))
             return queues[-1]
 

@@ -1,10 +1,14 @@
 import gc
 import math
+import os
 import statistics
+import subprocess
+import sys
 import textwrap
 import weakref
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -422,6 +426,29 @@ class TestCli:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid YAML: ")
             assert "#x0007" in err[0] and err[0].endswith(" at line 3, column 5")
+
+    def test_undecodable_experiment_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"a: \xff\n")
+        line = malformed_error_line(path, tmp_path, capsys)
+        assert line.startswith(f"error: {path}: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("name, problem", [("trace.csv", "trace T1: "), ("tasks.csv", "replay ")],
+                             ids=["trace", "replay"])
+    def test_undecodable_input_file_is_one_problem(self, tmp_path, capsys, name, problem):
+        path = replay_experiment(tmp_path, export_tasks_csv(TaskTable([(0, 0, 1.0, 5.0, 100.0)])))
+        (tmp_path / name).write_bytes(b"\xff\n")
+        line = refused_before_writing(path, tmp_path, capsys)
+        assert line.startswith(problem) and "can't decode byte 0xff" in line
+
+    def test_files_read_as_utf8_whatever_the_locale(self, tmp_path):
+        path = small_experiment(tmp_path)
+        path.write_text("# caf\u00e9\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "embudget.cli", "validate", str(path)],
+                              env=env, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
 
     def test_dry_run_prints_plan_and_writes_nothing(self, tmp_path, capsys):
         path = small_experiment(tmp_path)

@@ -24,7 +24,7 @@ def params(base=0.5, amps=(0.0, 0.0), times=(32400.0, 68400.0), width=3600.0,
 
 def admitted(*rows):
     """A queue over the table of `rows`, with every task admitted."""
-    q = TaskQueue(TaskTable(rows))
+    q = TaskQueue(TaskTable(rows), 1000)
     q.admit(range(len(rows)))
     return q
 
@@ -123,7 +123,7 @@ class TestAdmit:
             TaskTable([(0, 0, *fields)])
 
     def test_zero_arrivals(self):
-        q = TaskQueue(TaskTable([]))
+        q = TaskQueue(TaskTable([]), 1)
         q.admit(range(0))
         assert q.pending_count == 0
 
@@ -211,7 +211,7 @@ class TestAccountingClosure:
     def test_closure_every_step(self, raw, avail):
         raw.sort(key=lambda r: r[0])
         tasks = TaskTable((i, a, c, r, a + r + s) for i, (a, c, r, s) in enumerate(raw))
-        q = TaskQueue(tasks)
+        q = TaskQueue(tasks, 120)
         i = 0
         for t in range(120):
             q.drop_expired(t)
@@ -219,8 +219,12 @@ class TestAccountingClosure:
             while i < len(tasks) and tasks.arrival[i] <= t:
                 i += 1
             q.admit(range(start, i))
+            demand = q.pending_demand
             q.step_allocation(float(avail), t)
+            assert q.queued_demand[t] == demand
             assert q.finished_count + q.dropped_count + q.pending_count == i
+        assert sum(q.completions) == q.finished_count
+        assert sum(q.drops) == q.dropped_count
 
 
 class TestCsvRoundTrip:
