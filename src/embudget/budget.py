@@ -42,10 +42,6 @@ class EmissionsBudget:
     def spent(self) -> float:
         return self._spent
 
-    @property
-    def remaining(self) -> float:
-        return self.total - self._spent
-
     def record_emission(self, grams: float) -> None:
         """Add one step's emission to the ledger. Overdrafts raise, never clamp."""
         if not grams >= 0:

@@ -1,4 +1,4 @@
-"""Grid carbon intensity traces: CSV ingestion, lookups, unit conversion, variability."""
+"""Grid carbon intensity traces: CSV ingestion, windows, unit conversion, variability."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ class TraceGapError(TraceError):
 
 
 class TraceRangeError(TraceError):
-    """Lookup or window outside the trace's covered interval."""
+    """Window outside the trace's covered interval."""
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,6 @@ class CarbonIntensityTrace:
     @property
     def end_epoch(self) -> int:
         return self.start_epoch + self.span
-
-    def intensity_at(self, t: float) -> float:
-        """Intensity (g/kWh) at `t` seconds since trace start, held constant per bucket."""
-        if t < 0 or t >= self.span:
-            raise TraceRangeError(f"t={t} outside [0, {self.span})")
-        return self.values[int(t // self.step)]
 
     def slice_window(self, start_epoch: int, end_epoch: int) -> "CarbonIntensityTrace":
         """Sub-trace covering exactly [start_epoch, end_epoch), bit-exact values."""

@@ -49,7 +49,15 @@ def _write_manifest(out_dir: Path, experiment_path: Path, n_scenarios: int, stat
         f"status: {status}",
     ]
     lines += [f"completed: {label}" for label in completed]
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    # surrogateescape writes back the bytes of a path the locale could not decode.
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                          errors="surrogateescape")
+
+
+def _say(line: str) -> None:
+    """Print `line` to stdout, escaping any character the stream cannot encode."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         diagnostics = validate(experiment)
         for diag in diagnostics:
-            print(diag)
+            _say(diag)
         return 0 if not diagnostics else 1
 
     try:
@@ -76,15 +84,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dry_run:
-        print(f"{len(scenarios)} scenario(s):")
+        _say(f"{len(scenarios)} scenario(s):")
         for s in scenarios:
-            print(f"  {s.label}: policy={s.policy.kind} horizon={s.horizon}s "
-                  f"trace={s.trace.zone_label} seed={s.seed}")
+            _say(f"  {s.label}: policy={s.policy.kind} horizon={s.horizon}s "
+                 f"trace={s.trace.zone_label} seed={s.seed}")
         return 0
 
     out_dir = args.out if args.out is not None else experiment.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, args.experiment, len(scenarios), "started", [])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_manifest(out_dir, args.experiment, len(scenarios), "started", [])
+    except OSError as exc:
+        print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
+        return 2
 
     completed: list[str] = []
     try:
@@ -94,20 +106,20 @@ def main(argv: list[str] | None = None) -> int:
         rows = []
         for report in reports:
             if experiment.outputs_steps:
-                (out_dir / f"steps_{report.label}.csv").write_text(steps_csv(report))
+                (out_dir / f"steps_{report.label}.csv").write_text(steps_csv(report), encoding="utf-8")
             if experiment.outputs_buckets:
                 (out_dir / f"buckets_{report.label}.csv").write_text(
-                    buckets_csv(report, stats=stats))
+                    buckets_csv(report, stats=stats), encoding="utf-8")
             rows.append(summarize(report, experiment.prices, stats))
             completed.append(report.label)
-            print(f"{report.label}: finished_tasks={report.finished_tasks} "
-                  f"emissions_total_g={stats.fsum(report.emission_g):.2f}")
-        (out_dir / "summary.csv").write_text(summary_csv(rows))
-    except ScenarioError as exc:
+            _say(f"{report.label}: finished_tasks={report.finished_tasks} "
+                 f"emissions_total_g={stats.fsum(report.emission_g):.2f}")
+        (out_dir / "summary.csv").write_text(summary_csv(rows), encoding="utf-8")
+        _write_manifest(out_dir, args.experiment, len(scenarios), "completed", completed)
+    except (ScenarioError, OSError) as exc:  # OSError: an output could not be written
         _write_manifest(out_dir, args.experiment, len(scenarios), "failed", completed)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out_dir, args.experiment, len(scenarios), "completed", completed)
     return 0
 
 

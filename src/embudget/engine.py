@@ -87,11 +87,8 @@ class SimulationReport:
 
     label: str
     horizon: int
-    policy: PolicySpec
     node_names: tuple[str, ...]
-    trace_zone: str
     trace_values: tuple[float, ...]
-    trace_step: int
     power_w: array
     emission_g: array
     allowance_g: array
@@ -219,11 +216,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     return SimulationReport(
         label=config.label,
         horizon=horizon,
-        policy=policy,
         node_names=names,
-        trace_zone=config.trace.zone_label,
         trace_values=trace_values[: (horizon + trace_step - 1) // trace_step],
-        trace_step=trace_step,
         power_w=power_col,
         emission_g=emission_col,
         allowance_g=allowance_col,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -53,7 +54,6 @@ class TraceRef:
 class Experiment:
     """A loaded experiment file, with every trace and replay file it names read once."""
 
-    path: Path
     output_dir: Path
     prices: tuple[float, ...]
     horizon: int | None
@@ -204,7 +204,6 @@ def _parse(raw: dict, path: Path) -> tuple[Experiment, list[TraceRef], Path | No
 
     outputs = raw.get("outputs", {}) or {}
     experiment = Experiment(
-        path=path,
         output_dir=base / raw.get("output", "results"),
         prices=tuple(float(p) for p in raw.get("prices", DEFAULT_PRICES_EUR_PER_TON)),
         horizon=int(raw["horizon_s"]) if "horizon_s" in raw else None,
@@ -264,8 +263,19 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
     if any(not p > 0 for p in experiment.prices):
         problems.append("carbon prices must be positive")
     problems += cluster_problems(experiment.cluster, experiment.initial_node)
+    # Every scenario label is an unquoted cell of the UTF-8 summary.csv and, with
+    # steps or buckets on, part of output file names (a character the file system
+    # encoding can write, UTF-8 can too).
+    names_files = experiment.outputs_steps or experiment.outputs_buckets
+    unsafe = ',"\r\n' + (f"{os.sep}{os.altsep or ''}\0" if names_files else "")
+    encoding = sys.getfilesystemencoding() if names_files else "utf-8"
     parsed: dict = {}
     for ref in trace_refs:
+        # A character its encoding cannot write encodes to nothing.
+        bad = {c for c in ref.label if c in unsafe or not c.encode(encoding, "ignore")}
+        if bad:  # the label's one problem: the lines below print it raw
+            problems.append(f"trace label {ref.label!r}: outputs cannot hold {''.join(sorted(bad))!r}")
+            continue
         try:
             trace = experiment.traces[ref.label] = load_trace(ref, parsed)
         except (OSError, ValueError) as exc:  # ValueError: TraceError or bad encoding

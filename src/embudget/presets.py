@@ -6,10 +6,6 @@ from importlib import resources
 from pathlib import Path
 
 
-def data_dir() -> Path:
-    return Path(resources.files("embudget") / "data")
-
-
 def paper_grid_path() -> Path:
     """The bundled 18-scenario experiment file (3 policies x 6 trace windows)."""
-    return data_dir() / "paper_grid.yaml"
+    return Path(resources.files("embudget") / "data" / "paper_grid.yaml")

@@ -113,14 +113,13 @@ class TestFixedAllowance:
 class TestState:
     def test_fresh(self):
         b = weekly_budget()
-        assert b.remaining == 10_080.0
         assert b.spent == 0.0
         assert b.greedy_allowance(0) == b.base_rate  # nothing banked yet
 
     def test_exhausted(self):
         b = weekly_budget()
         b.record_emission(10_080.0)
-        assert b.remaining == 0.0
+        assert b.spent == 10_080.0
         assert b.greedy_allowance(10) == 0.0
 
     def test_surplus_by_hand(self):

@@ -69,29 +69,6 @@ class TestParseTrace:
         assert trace.values == (380.0, 350.0)
 
 
-class TestIntensityAt:
-    trace = CarbonIntensityTrace("z", 0, 3600, (380.0, 350.0))
-
-    def test_first_bucket(self):
-        assert self.trace.intensity_at(0) == 380.0
-
-    def test_hold_until_bucket_end(self):
-        assert self.trace.intensity_at(3599) == 380.0
-
-    def test_second_bucket_start(self):
-        assert self.trace.intensity_at(3600) == 350.0
-
-    def test_out_of_range(self):
-        with pytest.raises(TraceRangeError):
-            self.trace.intensity_at(7200)
-        with pytest.raises(TraceRangeError):
-            self.trace.intensity_at(-1)
-
-    @given(st.integers(min_value=0, max_value=7199))
-    def test_zero_order_hold(self, t):
-        assert self.trace.intensity_at(t) == self.trace.values[t // 3600]
-
-
 def g_per_watt_second(ci_kwh):
     """Emission per watt of one idle engine step at `ci_kwh` g/kWh."""
     config = ScenarioConfig("conv", CarbonIntensityTrace("c", 0, 3600, (ci_kwh,)), 1,

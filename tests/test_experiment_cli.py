@@ -171,6 +171,14 @@ def refused_before_writing(path, tmp_path, capsys):
     return printed[0]
 
 
+def in_ascii_locale(*args):
+    """Run `python -m embudget.cli *args` under the C locale, without UTF-8 mode."""
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "embudget.cli", *map(str, args)],
+                          env=env, capture_output=True)
+
+
 def malformed_error_line(path, tmp_path, capsys):
     """The one `error:` line that `validate` and `run` both exit 2 with, writing nothing."""
     with pytest.raises(ExperimentError, match="exp.yaml"):
@@ -365,9 +373,9 @@ class TestBuildScenarios:
             "LATE": ("LATE", (340.0, 210.0)),
             "WHOLE": ("WHOLE", (120.0, 340.0, 210.0)),
         }
-        reports = run_matrix(build_scenarios(experiment, labels=[
-            "unlimited_EARLY", "unlimited_LATE", "unlimited_WHOLE"]))
-        assert [r.trace_zone for r in reports] == ["EARLY", "LATE", "WHOLE"]
+        scenarios = build_scenarios(experiment, labels=[
+            "unlimited_EARLY", "unlimited_LATE", "unlimited_WHOLE"])
+        assert [s.trace.zone_label for s in scenarios] == ["EARLY", "LATE", "WHOLE"]
 
     def test_bad_file_is_one_problem_per_label(self, tmp_path):
         path = experiment_with(tmp_path, "traces", {
@@ -444,11 +452,32 @@ class TestCli:
     def test_files_read_as_utf8_whatever_the_locale(self, tmp_path):
         path = small_experiment(tmp_path)
         path.write_text("# caf\u00e9\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
-        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
-               "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-m", "embudget.cli", "validate", str(path)],
-                              env=env, capture_output=True)
+        done = in_ascii_locale("validate", path)
         assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+    def test_non_ascii_label_whatever_the_locale(self, tmp_path):
+        text = experiment_with(tmp_path, "traces", {"Z\u00fcrich": {"path": "trace.csv"}}).read_text()
+        # The file name too: the C locale decodes it to surrogates, which the manifest writes back.
+        path = tmp_path / "Z\u00fcrich.yaml"
+        path.write_text(text.replace("steps: true", "steps: false")
+                        .replace("buckets: true", "buckets: false"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert in_ascii_locale("validate", path).returncode == 0
+        done = in_ascii_locale("run", path, "--out", out)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert b"unlimited_Z\\xfcrich: finished_tasks=" in done.stdout
+        assert "unlimited_Z\u00fcrich," in (out / "summary.csv").read_text(encoding="utf-8")
+        manifest = (out / "manifest.txt").read_bytes().splitlines()
+        assert manifest[0] == b"experiment: " + os.fsencode(path)
+        assert b"status: completed" in manifest
+        # With steps on, the label names a file, which the locale cannot encode.
+        path.write_text(text.replace("buckets: true", "buckets: false"), encoding="utf-8")
+        out = tmp_path / "steps_out"
+        done = in_ascii_locale("validate", path)
+        assert done.returncode == 1 and b"Z\\xfcrich" in done.stdout
+        done = in_ascii_locale("run", path, "--out", out)
+        assert done.returncode == 2 and done.stderr.startswith(b"invalid: trace label ")
+        assert not out.exists()
 
     def test_dry_run_prints_plan_and_writes_nothing(self, tmp_path, capsys):
         path = small_experiment(tmp_path)
@@ -541,6 +570,41 @@ class TestCli:
         path = experiment_with(tmp_path, "traces.T1.days", math.inf)
         line = refused_before_writing(path, tmp_path, capsys)
         assert line == "trace T1: days must be finite and positive, not inf"
+
+    @pytest.mark.parametrize("label, unsafe", [
+        ("a/b", "/"), ("a,b", ","), ('"a"\r\nb', '\n\r"'), ("a\0b", "\0")],
+        ids=["slash", "comma", "quote_crlf", "nul"])
+    def test_unwritable_label_refused_before_writing(self, tmp_path, capsys, label, unsafe):
+        # A missing file adds no second line, which would print the label raw.
+        path = experiment_with(tmp_path, "traces", {label: {"path": "gone.csv"}})
+        line = refused_before_writing(path, tmp_path, capsys)
+        assert line == f"trace label {label!r}: outputs cannot hold {unsafe!r}"
+
+    def test_slash_in_label_allowed_without_output_files(self, tmp_path):
+        path = experiment_with(tmp_path, "traces", {"a/b": {"path": "trace.csv"}})
+        path.write_text(path.read_text().replace("buckets: true", "buckets: false")
+                        .replace("steps: true", "steps: false"))
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_text(encoding="utf-8").count("_a/b,") == 3
+
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(["run", str(small_experiment(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write outputs to {out}: ")
+        assert out.read_text() == "not a directory"
+
+    def test_unwritable_output_fails_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        assert main(["run", str(small_experiment(tmp_path)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "summary.csv" in err[0]
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert "status: failed" in manifest and "completed: budget_T1" in manifest
 
     def test_generation_error_names_scenario(self, tmp_path, capsys, monkeypatch):
         def failing_generate(params, horizon, seed):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embudget.carbon import WS_PER_KWH
-from embudget.engine import PolicySpec, SimulationReport
+from embudget.engine import SimulationReport
 from embudget.reporting import (
     DEFAULT_PRICES_EUR_PER_TON,
     ColumnStats,
@@ -22,16 +22,13 @@ from embudget.reporting import (
 
 
 def make_report(power, emission, label="synthetic", trace_values=(100.0,),
-                trace_step=3600, finished=0, budget_spent=None):
+                finished=0, budget_spent=None):
     n = len(power)
     return SimulationReport(
         label=label,
         horizon=n,
-        policy=PolicySpec("unlimited"),
         node_names=("small", "medium", "large"),
-        trace_zone="test",
         trace_values=tuple(trace_values),
-        trace_step=trace_step,
         power_w=array("d", power),
         emission_g=array("d", emission),
         allowance_g=array("d", [math.inf] * n),
