@@ -6,15 +6,7 @@ _OVERDRAFT_EPS = 1e-12
 
 
 class BudgetError(ValueError):
-    pass
-
-
-class BudgetViolationError(BudgetError):
-    """An emission was recorded past the hard cap; indicates a policy bug."""
-
-
-class HorizonError(BudgetError):
-    pass
+    """A bad budget, emission or time, or an overdraft (which indicates a policy bug)."""
 
 
 class EmissionsBudget:
@@ -47,7 +39,7 @@ class EmissionsBudget:
         if not grams >= 0:
             raise BudgetError(f"negative emission {grams}")
         if self._spent + grams > self.total + _OVERDRAFT_EPS:
-            raise BudgetViolationError(
+            raise BudgetError(
                 f"overdraft: spent {self._spent} + {grams} exceeds total {self.total}"
             )
         y = grams - self._comp
@@ -62,6 +54,6 @@ class EmissionsBudget:
         impossible, and by construction never past the total.
         """
         if not 0 <= now < self.horizon:
-            raise HorizonError(f"now={now} outside [0, {self.horizon})")
+            raise BudgetError(f"now={now} outside [0, {self.horizon})")
         allowance = self.base_rate * (now + 1.0) - self._spent
         return allowance if allowance > 0.0 else 0.0

@@ -15,19 +15,7 @@ WS_PER_KWH = 3_600_000.0
 
 
 class TraceError(ValueError):
-    """Base class for trace ingestion/lookup problems."""
-
-
-class TraceSchemaError(TraceError):
-    """Required column missing or a cell is unparseable."""
-
-
-class TraceGapError(TraceError):
-    """Timestamps are non-monotonic or not evenly spaced."""
-
-
-class TraceRangeError(TraceError):
-    """Window outside the trace's covered interval."""
+    """A trace that cannot be parsed, made or windowed; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +56,11 @@ class CarbonIntensityTrace:
     def slice_window(self, start_epoch: int, end_epoch: int) -> "CarbonIntensityTrace":
         """Sub-trace covering exactly [start_epoch, end_epoch), bit-exact values."""
         if end_epoch <= start_epoch:
-            raise TraceRangeError("window is empty or reversed")
+            raise TraceError("window is empty or reversed")
         if (start_epoch - self.start_epoch) % self.step or (end_epoch - self.start_epoch) % self.step:
-            raise TraceRangeError("window not aligned to trace step")
+            raise TraceError("window not aligned to trace step")
         if start_epoch < self.start_epoch or end_epoch > self.end_epoch:
-            raise TraceRangeError(
+            raise TraceError(
                 f"window [{start_epoch}, {end_epoch}) outside trace "
                 f"[{self.start_epoch}, {self.end_epoch})"
             )
@@ -89,7 +77,7 @@ def _parse_timestamp(raw: str) -> int:
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
-        raise TraceSchemaError(f"bad timestamp {raw!r}") from exc
+        raise TraceError(f"bad timestamp {raw!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -106,29 +94,29 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None) -> CarbonInt
     rows: list[tuple[int, float]] = []
     try:
         if reader.fieldnames is None:
-            raise TraceSchemaError("CSV has no header row")
+            raise TraceError("CSV has no header row")
         for col in (cmap.timestamp, cmap.intensity):
             if col not in reader.fieldnames:
-                raise TraceSchemaError(f"missing column {col!r} (have {reader.fieldnames})")
+                raise TraceError(f"missing column {col!r} (have {reader.fieldnames})")
 
         for row in reader:
             lineno = reader.line_num
             raw_ts, raw_ci = row[cmap.timestamp], row[cmap.intensity]
             if raw_ts is None or raw_ci is None:
-                raise TraceSchemaError(f"line {lineno}: fewer cells than the header")
+                raise TraceError(f"line {lineno}: fewer cells than the header")
             try:
                 ts = _parse_timestamp(raw_ts)
                 ci = float(raw_ci)
-            except TraceSchemaError as exc:
-                raise TraceSchemaError(f"line {lineno}: {exc}") from exc
+            except TraceError as exc:
+                raise TraceError(f"line {lineno}: {exc}") from exc
             except ValueError as exc:
-                raise TraceSchemaError(f"line {lineno}: bad intensity {raw_ci!r}") from exc
+                raise TraceError(f"line {lineno}: bad intensity {raw_ci!r}") from exc
             if not (math.isfinite(ci) and ci >= 0):
                 raise TraceError(f"line {lineno}: intensity must be finite and >= 0, got {ci}")
             rows.append((ts, ci))
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         # DictReader.line_num counts the rows it returned; its csv reader's counts this one.
-        raise TraceSchemaError(f"line {reader.reader.line_num}: {exc}") from exc
+        raise TraceError(f"line {reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise TraceError("CSV contains no data rows")
     rows.sort(key=lambda r: r[0])
@@ -138,10 +126,10 @@ def parse_trace(csv_text: str, column_map: ColumnMap | None = None) -> CarbonInt
     else:
         step = rows[1][0] - rows[0][0]
         if step <= 0:
-            raise TraceGapError("duplicate or non-monotonic timestamps")
+            raise TraceError("duplicate or non-monotonic timestamps")
         for (a, _), (b, _) in zip(rows, rows[1:]):
             if b - a != step:
-                raise TraceGapError(f"gap between {a} and {b}, expected step {step}")
+                raise TraceError(f"gap between {a} and {b}, expected step {step}")
 
     return CarbonIntensityTrace(
         zone_label="",

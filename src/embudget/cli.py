@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .engine import ScenarioError, run_matrix
 from .experiment import ExperimentError, build_scenarios, load_experiment, validate
-from .reporting import ColumnStats, buckets_csv, steps_csv, summarize, summary_csv
+from .reporting import ColumnStats, buckets_csv, csv_name, steps_csv, summarize, summary_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,10 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         stats = ColumnStats()
         rows = []
         for report in reports:
-            if experiment.outputs_steps:
-                (out_dir / f"steps_{report.label}.csv").write_text(steps_csv(report), encoding="utf-8")
-            if experiment.outputs_buckets:
-                (out_dir / f"buckets_{report.label}.csv").write_text(
+            if "steps" in experiment.outputs:
+                (out_dir / csv_name("steps", report.label)).write_text(
+                    steps_csv(report), encoding="utf-8")
+            if "buckets" in experiment.outputs:
+                (out_dir / csv_name("buckets", report.label)).write_text(
                     buckets_csv(report, stats=stats), encoding="utf-8")
             rows.append(summarize(report, experiment.prices, stats))
             completed.append(report.label)

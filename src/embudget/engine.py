@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .budget import EmissionsBudget
@@ -45,8 +44,10 @@ class PolicySpec:
             raise ScenarioError("greedy_budget policy needs budget_total_g > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario to run, checked when made: a config that exists is valid."""
+
     label: str
     trace: CarbonIntensityTrace
     horizon: int
@@ -59,7 +60,7 @@ class ScenarioConfig:
     # None: run_scenario generates them from `workload`.
     tasks: TaskTable | None = None
 
-    def validate(self) -> list[str]:
+    def __post_init__(self) -> None:
         problems = []
         if self.horizon <= 0:
             problems.append("horizon must be positive")
@@ -71,7 +72,8 @@ class ScenarioConfig:
                 problems.append("tasks must be a TaskTable")
         elif self.workload is None:
             problems.append("needs either a workload or a replay task list")
-        return [f"{self.label}: {problem}" for problem in problems]
+        if problems:
+            raise ScenarioError("; ".join(f"{self.label}: {problem}" for problem in problems))
 
 
 @dataclass
@@ -112,10 +114,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     plan, execute (allocate CU, account power and emissions). Changing the
     order changes results, so it is part of the external contract.
     """
-    problems = config.validate()
-    if problems:
-        raise ScenarioError("; ".join(problems))
-
     tasks = config.tasks
     if tasks is None:
         tasks = generate_diurnal_trace(config.workload, config.horizon, config.seed)
@@ -243,17 +241,17 @@ def run_matrix(configs: list[ScenarioConfig], workers: int = 1) -> list[Simulati
     serially, scenarios that share a table reuse each other's queue runs
     (see TaskQueue); no record of them outlives the call. Each report
     column byte-identical to an earlier report's is replaced by that array, so
-    the grid keeps one copy of each distinct column. No config runs unless all
-    are valid: one ScenarioError lists every problem.
+    the grid keeps one copy of each distinct column. Each config checked
+    itself when it was made, so the only grid refused here is an empty one.
     """
     if not configs:
         raise ScenarioError("scenario matrix is empty")
-    problems = [problem for config in configs for problem in config.validate()]
-    if problems:
-        raise ScenarioError("; ".join(problems))
     configs = _with_generated_tasks(configs)
     seen: dict[tuple[str, int], array] = {}
     if workers > 1 and len(configs) > 1:
+        # Imported here: the pool's module costs a serial run memory it never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [_share_columns(r, seen) for r in pool.map(_run_labelled, configs)]
     # A table that two or more scenarios share records their queue runs, so a

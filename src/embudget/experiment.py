@@ -18,7 +18,7 @@ from .carbon import (
 )
 from .cluster import PRESETS, NodeSpec, cluster_problems
 from .engine import PolicySpec, ScenarioConfig
-from .reporting import DEFAULT_PRICES_EUR_PER_TON
+from .reporting import DEFAULT_PRICES_EUR_PER_TON, csv_name
 from .workload import DiurnalTraceParams, TaskTable, import_tasks_csv
 
 # libyaml's parser when PyYAML was built with it; both loaders share the Python
@@ -57,8 +57,7 @@ class Experiment:
     output_dir: Path
     prices: tuple[float, ...]
     horizon: int | None
-    outputs_steps: bool
-    outputs_buckets: bool
+    outputs: tuple[str, ...]  # the per-scenario CSVs written: "steps", "buckets", both or neither
     cluster: tuple[NodeSpec, ...]
     initial_node: str
     workload: DiurnalTraceParams | None
@@ -207,8 +206,7 @@ def _parse(raw: dict, path: Path) -> tuple[Experiment, list[TraceRef], Path | No
         output_dir=base / raw.get("output", "results"),
         prices=tuple(float(p) for p in raw.get("prices", DEFAULT_PRICES_EUR_PER_TON)),
         horizon=int(raw["horizon_s"]) if "horizon_s" in raw else None,
-        outputs_steps=bool(outputs.get("steps", True)),
-        outputs_buckets=bool(outputs.get("buckets", True)),
+        outputs=tuple(kind for kind in ("steps", "buckets") if outputs.get(kind, True)),
         cluster=cluster,
         initial_node=str(initial),
         workload=workload,
@@ -266,9 +264,8 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
     # Every scenario label is an unquoted cell of the UTF-8 summary.csv and, with
     # steps or buckets on, part of output file names (a character the file system
     # encoding can write, UTF-8 can too).
-    names_files = experiment.outputs_steps or experiment.outputs_buckets
-    unsafe = ',"\r\n' + (f"{os.sep}{os.altsep or ''}\0" if names_files else "")
-    encoding = sys.getfilesystemencoding() if names_files else "utf-8"
+    unsafe = ',"\r\n' + (f"{os.sep}{os.altsep or ''}\0" if experiment.outputs else "")
+    encoding = sys.getfilesystemencoding() if experiment.outputs else "utf-8"
     parsed: dict = {}
     for ref in trace_refs:
         # A character its encoding cannot write encodes to nothing.
@@ -276,6 +273,10 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
         if bad:  # the label's one problem: the lines below print it raw
             problems.append(f"trace label {ref.label!r}: outputs cannot hold {''.join(sorted(bad))!r}")
             continue
+        # 255 bytes: the longest file name ext4, xfs, btrfs, tmpfs and APFS accept.
+        if any(len(csv_name(kind, f"{name}_{ref.label}").encode(encoding)) > 255
+               for kind in experiment.outputs for name, _ in experiment.policies):
+            problems.append(f"trace label {ref.label!r}: output file names would exceed 255 bytes")
         try:
             trace = experiment.traces[ref.label] = load_trace(ref, parsed)
         except (OSError, ValueError) as exc:  # ValueError: TraceError or bad encoding
@@ -288,6 +289,9 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
             problems.append(
                 f"trace {ref.label}: horizon {horizon}s exceeds window span {trace.span}s"
             )
+        elif experiment.workload and not experiment.workload.deadlines_after_arrival(horizon):
+            problems.append(f"trace {ref.label}: task runtime plus deadline slack rounds away at "
+                            f"second {horizon - 1}, so a deadline would equal its arrival")
 
 
 def validate(experiment: Experiment) -> list[str]:

@@ -150,6 +150,11 @@ def summary_csv(rows: Sequence[SummaryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_name(kind: str, label: str) -> str:
+    """The file name of scenario `label`'s `kind` CSV, "steps" or "buckets"."""
+    return f"{kind}_{label}.csv"
+
+
 def steps_csv(report: SimulationReport) -> str:
     """Per-step CSV of a single scenario (one row per simulation second)."""
     # Node code -1 (suspended) indexes the trailing empty name.

@@ -114,6 +114,18 @@ class DiurnalTraceParams:
             if not (0 < size * (1 - jitter) and size * (1 + jitter) < math.inf):
                 raise WorkloadError("jittered task CU and runtime must be positive and finite")
 
+    def deadlines_after_arrival(self, horizon: int) -> bool:
+        """Whether every task generated over `horizon` seconds gets a deadline after its arrival.
+
+        The generator computes a deadline as t + runtime + slack, which for a large
+        arrival second t can round to t. That sum at the last second, with the
+        smallest runtime the jitter allows, bounds every task: float spacing only
+        grows with t, and below 2**52 each whole second is an even multiple of it,
+        so rounding ties go down.
+        """
+        t = horizon - 1
+        return t + self.task_runtime * (1.0 + -self.runtime_jitter) + self.deadline_slack > t
+
     def rate_at(self, t: float) -> float:
         """Arrival rate lambda(t) in tasks/second."""
         tod = t % SECONDS_PER_DAY

@@ -2,7 +2,7 @@ import math
 import random
 from array import array
 from collections import deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -170,17 +170,43 @@ class TestSharedTasks:
 
 
 class TestValidation:
+    """A ScenarioConfig checks itself when made, so a config that exists is valid."""
+
     def test_horizon_beyond_trace(self):
-        config = make_config("bad", constant_trace(100.0, hours=1), 7200, UNLIMITED,
-                             workload=simple_workload())
-        with pytest.raises(ScenarioError):
-            run_scenario(config)
+        with pytest.raises(ScenarioError, match="^bad: horizon 7200s exceeds trace span 3600s$"):
+            make_config("bad", constant_trace(100.0, hours=1), 7200, UNLIMITED,
+                        workload=simple_workload())
 
     def test_unknown_initial_node(self):
-        config = make_config("bad", constant_trace(100.0), 100, UNLIMITED,
-                             workload=simple_workload(), initial="huge")
-        with pytest.raises(ScenarioError):
-            run_scenario(config)
+        with pytest.raises(ScenarioError, match=r"^bad: initial node 'huge' not in cluster \["):
+            make_config("bad", constant_trace(100.0), 100, UNLIMITED,
+                        workload=simple_workload(), initial="huge")
+
+    def test_fields_cannot_be_assigned(self):
+        config = make_config("ok", constant_trace(100.0), 100, UNLIMITED,
+                             workload=simple_workload())
+        with pytest.raises(FrozenInstanceError):
+            config.horizon = 10**9
+        assert config.horizon == 100
+
+    def test_replace_checks_the_copy(self):
+        config = make_config("ok", constant_trace(100.0, hours=1), 100, UNLIMITED,
+                             workload=simple_workload())
+        with pytest.raises(ScenarioError, match="^ok: horizon 3601s exceeds trace span 3600s$"):
+            replace(config, horizon=3601)
+
+    def test_run_does_not_check_again(self, monkeypatch):
+        config = make_config("ok", constant_trace(100.0), 600, UNLIMITED,
+                             workload=simple_workload())
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(embudget.engine, "cluster_problems", counting)
+        assert run_scenario(config).horizon == 600
+        assert calls == []
 
     @pytest.mark.parametrize("rows, problem", [
         ([(0, 10, 1, 5, 100), (1, 5, 1, 5, 100)], "task 1 arrives out of order"),
@@ -193,15 +219,10 @@ class TestValidation:
         with pytest.raises(WorkloadError, match=f"^{problem}$"):
             TaskTable(rows)
 
-    def test_tasks_not_a_table_refused_before_step_0(self, monkeypatch):
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
-        monkeypatch.setattr(embudget.engine, "choose_option", no_step)
-        config = make_config("bad", constant_trace(100.0), 100, UNLIMITED,
-                             tasks=[(0, 0, 1, 5, 100)])
+    def test_tasks_not_a_table_refused_before_step_0(self):
+        # A config holding a plain list is never made, so no run can start on it.
         with pytest.raises(ScenarioError, match="^bad: tasks must be a TaskTable$"):
-            run_scenario(config)
+            make_config("bad", constant_trace(100.0), 100, UNLIMITED, tasks=[(0, 0, 1, 5, 100)])
 
     def test_policy_spec_validation(self):
         with pytest.raises(ScenarioError):
@@ -221,26 +242,14 @@ class TestRunMatrix:
         with pytest.raises(ScenarioError):
             run_matrix([])
 
-    def test_invalid_grid_refused_before_any_run(self, monkeypatch):
-        labels = []
-        run = embudget.engine.run_scenario
-
-        def recording_run(config):
-            labels.append(config.label)
-            return run(config)
-
-        monkeypatch.setattr(embudget.engine, "run_scenario", recording_run)
+    def test_invalid_grid_refused_before_any_run(self):
+        # An invalid config is refused when made, before any grid can hold it;
+        # its one error lists each of its problems.
         trace = constant_trace(100.0, hours=1)
-        configs = [
-            make_config("good", trace, 600, UNLIMITED, workload=simple_workload()),
-            make_config("too_long", trace, 7200, UNLIMITED, workload=simple_workload()),
-            make_config("a_list", trace, 600, UNLIMITED, tasks=[(0, 0, 1, 5, 100)]),
-        ]
         with pytest.raises(ScenarioError) as refused:
-            run_matrix(configs)
-        assert str(refused.value) == ("too_long: horizon 7200s exceeds trace span 3600s; "
-                                      "a_list: tasks must be a TaskTable")
-        assert labels == []
+            make_config("bad", trace, 7200, UNLIMITED, tasks=[(0, 0, 1, 5, 100)])
+        assert str(refused.value) == ("bad: horizon 7200s exceeds trace span 3600s; "
+                                      "bad: tasks must be a TaskTable")
 
     def test_identical_configs_identical_reports(self):
         trace = constant_trace(300.0)
@@ -253,10 +262,9 @@ class TestRunMatrix:
         assert r1.finished_tasks == r2.finished_tasks
 
     def test_error_names_scenario(self):
-        bad = make_config("broken_label", constant_trace(100.0, hours=1), 999_999,
-                          UNLIMITED, workload=simple_workload())
-        with pytest.raises(ScenarioError, match="broken_label"):
-            run_matrix([bad])
+        with pytest.raises(ScenarioError, match="^broken_label: horizon 999999s exceeds"):
+            make_config("broken_label", constant_trace(100.0, hours=1), 999_999,
+                        UNLIMITED, workload=simple_workload())
 
     def test_output_order_matches_input(self):
         trace = constant_trace(300.0)

@@ -132,6 +132,10 @@ NOT_RUNNABLE = {
     "cu_jitter_above_one": ("workload.cu_jitter", 1.5, "jitter"),
     "price_nan": ("prices", [math.nan, 80], "carbon prices must be positive"),
     "trace_days_nan": ("traces.T1.days", math.nan, "trace T1: days must be finite and positive"),
+    # One row per ScenarioConfig rule: the check pass finds each before a config is made.
+    "horizon_zero": ("horizon_s", 0, "trace T1: horizon must be positive"),
+    "initial_not_in_cluster": ("cluster.initial", "huge", "initial node 'huge' not in cluster"),
+    "no_workload": ("workload", None, "no workload or replay declared"),
 }
 
 TASKS_HEADER_AND_ROW = "id,arrival,cu,runtime,deadline\n0,0,2.0,5.0,60\n"
@@ -177,6 +181,16 @@ def in_ascii_locale(*args):
            "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "embudget.cli", *map(str, args)],
                           env=env, capture_output=True)
+
+
+def long_label_experiment(tmp_path, label):
+    """small_experiment with one trace, `label`, one policy, unlimited, and buckets only."""
+    path = experiment_with(tmp_path, "traces", {label: {"path": "trace.csv"}})
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    raw["policies"] = {"unlimited": {}}
+    raw["outputs"] = {"steps": False, "buckets": True}
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return path
 
 
 def malformed_error_line(path, tmp_path, capsys):
@@ -579,6 +593,40 @@ class TestCli:
         path = experiment_with(tmp_path, "traces", {label: {"path": "gone.csv"}})
         line = refused_before_writing(path, tmp_path, capsys)
         assert line == f"trace label {label!r}: outputs cannot hold {unsafe!r}"
+
+    @pytest.mark.parametrize("label", ["x" * 233, "\u00e9" * 116 + "x"], ids=["ascii", "utf8"])
+    def test_label_filling_a_file_name_runs(self, tmp_path, capsys, label):
+        # buckets_unlimited_<label>.csv is 255 bytes, the longest name a file system takes.
+        if len(label) < 233 and sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("the file system encoding cannot write the label")
+        path = long_label_experiment(tmp_path, label)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert (out / f"buckets_unlimited_{label}.csv").exists()
+
+    @pytest.mark.parametrize("label", ["x" * 234, "\u00e9" * 117], ids=["ascii", "utf8"])
+    def test_label_too_long_for_a_file_name_refused(self, tmp_path, capsys, label):
+        if len(label) < 234 and sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("the file system encoding cannot write the label")
+        line = refused_before_writing(long_label_experiment(tmp_path, label), tmp_path, capsys)
+        assert line == f"trace label {label!r}: output file names would exceed 255 bytes"
+
+    def test_deadline_rounding_onto_arrival_refused(self, tmp_path, capsys):
+        # From second 128 on, t + 1e-14 rounds to t, and a deadline would equal its arrival.
+        path = experiment_with(tmp_path, "workload.task_runtime_s", 1e-14)
+        raw = yaml.safe_load(path.read_text())
+        raw["workload"]["deadline_slack_s"] = 0
+        path.write_text(yaml.safe_dump(raw))
+        line = refused_before_writing(path, tmp_path, capsys)
+        assert line == ("trace T1: task runtime plus deadline slack rounds away at second 599, "
+                        "so a deadline would equal its arrival")
+
+    def test_cli_does_not_import_the_process_pool(self):
+        code = "import sys, embudget.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
 
     def test_slash_in_label_allowed_without_output_files(self, tmp_path):
         path = experiment_with(tmp_path, "traces", {"a/b": {"path": "trace.csv"}})

@@ -86,6 +86,22 @@ class TestGenerator:
         for p in (largest, smallest):
             assert len(generate_diurnal_trace(p, 300, 4)) > 200
 
+    @pytest.mark.parametrize("runtime, slack", [(1e-14, 0.0), (1e-14, 1e-14), (3e-13, 2e-13)])
+    def test_deadline_rule_holds_exactly_where_generation_does(self, runtime, slack):
+        # One task a second: the first horizon the rule refuses is the first whose
+        # last task gets a deadline equal to its arrival.
+        p = params(base=1.0, runtime=runtime, slack=slack)
+        refused = next(h for h in range(1, 10_000) if not p.deadlines_after_arrival(h))
+        assert len(generate_diurnal_trace(p, refused - 1, 0)) == refused - 1
+        with pytest.raises(WorkloadError, match=f"^task {refused - 1}: deadline must be after"):
+            generate_diurnal_trace(p, refused, 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deadline_rule_bounds_every_jittered_runtime(self, seed):
+        p = params(base=1.0, runtime=2e-13, runtime_jitter=0.9, slack=0.0)
+        refused = next(h for h in range(1, 10_000) if not p.deadlines_after_arrival(h))
+        assert len(generate_diurnal_trace(p, refused - 1, seed)) == refused - 1
+
     def test_rate_is_circular_across_midnight(self):
         p = params(base=0.0, amps=(1.0, 0.0), times=(0.0, 0.0), width=3600.0)
         assert p.rate_at(86400 - 1800) == pytest.approx(p.rate_at(1800))
