@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,12 +20,16 @@ class NodeSpec:
     peak_power: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ClusterError(f"{self.name}: capacity must be positive")
-        if not self.idle_power >= 0:
-            raise ClusterError(f"{self.name}: idle power must be >= 0")
-        if not self.peak_power > self.idle_power:
-            raise ClusterError(f"{self.name}: peak power must exceed idle power")
+        try:
+            capacity = float(self.capacity)  # as the step loop computes with it
+        except OverflowError:  # an int past the float range
+            capacity = math.inf
+        if not 0 < capacity < math.inf:
+            raise ClusterError(f"{self.name}: capacity must be positive and finite")
+        if not 0 <= self.idle_power < math.inf:
+            raise ClusterError(f"{self.name}: idle power must be finite and >= 0")
+        if not self.idle_power < self.peak_power < math.inf:
+            raise ClusterError(f"{self.name}: peak power must be finite and exceed idle power")
 
 
 # Baseline medium profile; small/large are half/double across the board.
@@ -37,10 +42,16 @@ PRESETS: dict[str, tuple[NodeSpec, ...]] = {
 }
 
 
+# Reports store node indexes as signed bytes, with -1 for a suspended step.
+MAX_NODES = 128
+
+
 def cluster_problems(specs: tuple[NodeSpec, ...], initial_node: str) -> list[str]:
     """Why the application cannot start on `initial_node` of `specs`; empty when it can."""
     names = [s.name for s in specs]
     problems = []
+    if len(specs) > MAX_NODES:
+        problems.append(f"cluster has {len(specs)} nodes, more than {MAX_NODES}")
     if len(set(names)) != len(names):
         problems.append(f"duplicate node names in cluster {names}")
     if initial_node not in names:

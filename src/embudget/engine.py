@@ -143,8 +143,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     drop = queue.drop_expired
 
     # Columns start zeroed (action _SCALE); each step writes only the entries it
-    # changes. The queue writes its own three, queued_demand, completions and
-    # drops, which a later queue may answer from; the report keeps them.
+    # changes. The queue keeps its own three, queued_demand, completions and
+    # drops, the arrays of the run it follows while it follows one; the report
+    # keeps them and counts the finished and dropped tasks from them.
     power_col = array("d", [0.0]) * horizon
     emission_col = array("d", [0.0]) * horizon
     allowance_col = array("d", [0.0]) * horizon
@@ -211,6 +212,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 
         allowance_col[t] = allowance
 
+    finished = sum(queue.completions)
+    dropped = sum(queue.drops)
     return SimulationReport(
         label=config.label,
         horizon=horizon,
@@ -225,10 +228,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         drops=queue.drops,
         action=action_col,
         node_index=node_col,
-        finished_tasks=queue.finished_count,
-        dropped_tasks=queue.dropped_count,
+        finished_tasks=finished,
+        dropped_tasks=dropped,
         admitted_tasks=ai,
-        pending_tasks=queue.pending_count,
+        pending_tasks=ai - finished - dropped,
         budget_spent_g=budget.spent if budget is not None else None,
     )
 

@@ -258,8 +258,8 @@ def _check(experiment: Experiment, trace_refs: list[TraceRef], replay_path: Path
             experiment.tasks = import_tasks_csv(replay_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: WorkloadError or bad encoding
             problems.append(f"replay {replay_path}: {exc}")
-    if any(not p > 0 for p in experiment.prices):
-        problems.append("carbon prices must be positive")
+    if any(not 0 < p < math.inf for p in experiment.prices):
+        problems.append("carbon prices must be positive and finite")
     problems += cluster_problems(experiment.cluster, experiment.initial_node)
     # Every scenario label is an unquoted cell of the UTF-8 summary.csv and, with
     # steps or buckets on, part of output file names (a character the file system

@@ -62,7 +62,7 @@ class ColumnStats:
         return self._get(statistics.median, column)
 
     def bucket_sums(self, column: Sequence[float], bucket: int) -> list[float]:
-        """aggregate(column, bucket, "sum")."""
+        """aggregate(column, bucket)."""
         return self._get(aggregate, column, bucket)
 
 
@@ -102,19 +102,11 @@ def summarize(report: SimulationReport,
     )
 
 
-def aggregate(series: Sequence[float], bucket: int, mode: str = "sum") -> list[float]:
-    """Bucket a per-second series into sums or means; the last bucket may be partial."""
+def aggregate(series: Sequence[float], bucket: int) -> list[float]:
+    """Bucket a per-second series into sums; the last bucket may be partial."""
     if bucket <= 0:
         raise ReportError(f"bucket must be positive, got {bucket}")
-    if mode not in ("sum", "mean"):
-        raise ReportError(f"mode must be 'sum' or 'mean', got {mode!r}")
-    out = []
-    n = len(series)
-    for start in range(0, n, bucket):
-        chunk = series[start:start + bucket]
-        total = math.fsum(chunk)
-        out.append(total if mode == "sum" else total / len(chunk))
-    return out
+    return [math.fsum(series[start:start + bucket]) for start in range(0, len(series), bucket)]
 
 
 def trace_cv(report: SimulationReport) -> float:
@@ -182,7 +174,7 @@ def buckets_csv(report: SimulationReport, bucket: int = SIX_HOURS,
     lines = ["bucket_start_s,completions_sum,emission_sum_g,emission_mean_g,power_mean_w"]
     for i in range(len(completions)):
         start = i * bucket
-        size = min(bucket, n - start)  # as aggregate's "mean" mode divides
+        size = min(bucket, n - start)  # the last bucket may be partial
         lines.append(
             f"{start},{completions[i]:.0f},{emissions[i]:.9g},"
             f"{emissions[i] / size:.9g},{powers[i] / size:.6f}"

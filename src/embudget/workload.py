@@ -39,9 +39,9 @@ class TaskTable:
 
     `queue_runs` is None, except while a serial run_matrix shares the table
     among scenarios: then it lists the table's recorded queue runs, the first
-    and the latest (see TaskQueue). For the last scenario over the table it is
-    a tuple: that queue follows the recorded runs but records nothing, since
-    no later queue could read the record.
+    and the latest, both of the first's horizon (see TaskQueue). For the last
+    scenario over the table it is a tuple: that queue follows the recorded
+    runs but records nothing, since no later queue could read the record.
     """
 
     __slots__ = TASK_CSV_COLUMNS + ("queue_runs",)
@@ -176,36 +176,33 @@ class TaskQueue:
     [work_done, live, cu, total_work], and never writes to the table, so
     scenarios can share one table. The FIFO deque and the deadline heap hold
     the same entries; `live` is False once the task has finished or been
-    dropped. The queue writes its own record of the run, three per-step
-    columns for `horizon` steps that the step loop's report keeps:
-    queued_demand (the demand step_allocation is called with, after the step's
-    admissions), completions and drops.
+    dropped. The queue's only account of its tasks is its record of the run,
+    three per-step columns for `horizon` steps that the step loop's report
+    keeps: queued_demand (the demand step_allocation is called with, after the
+    step's admissions), completions and drops.
 
     The step loop calls drop_expired, admit and step_allocation once a step,
     in that order; a suspended step allocates 0 CU. While the table lists
     recorded runs (`table.queue_runs`), the queue also logs each step's
     allocation input and used CU. The first queue over the table runs live
-    and is its first recorded run. A later queue follows that run: while its
-    allocation inputs equal the recorded ones, so does its state, and the
-    three public methods answer from the record in O(1). Where it leaves the
-    first run, it follows the table's latest run if that run's inputs agree
-    with the first's up to there. Otherwise it rebuilds its live state by
-    replaying the followed run's inputs through the live code, continues live,
-    and becomes the table's latest run. A queue over a tuple of runs (the
-    table's last user) follows them the same way but never records.
+    and is its first recorded run. A later queue of that run's horizon follows
+    it: while its allocation inputs equal the recorded ones, so do its state
+    and its record, so its three columns are the run's own arrays and the
+    three public methods answer from them in O(1), writing nothing but
+    pending_demand. Where it leaves the first run, it follows the table's
+    latest run if that run's inputs agree with the first's up to there.
+    Otherwise it takes columns of its own, rebuilds its live state by
+    replaying the followed run's inputs through the live code, continues
+    live, and becomes the table's latest run. A queue over a tuple of runs
+    (the table's last user) follows them the same way but never records; a
+    queue of another horizon runs live and records nothing.
     """
 
     def __init__(self, table: TaskTable, horizon: int) -> None:
         self._table = table
         self._pending: deque[list] = deque()
         self._deadline_heap: list[tuple[float, int, list]] = []
-        self.pending_count = 0
         self.pending_demand = 0.0  # sum of cu over live pending tasks
-        self.finished_count = 0
-        self.dropped_count = 0
-        self.queued_demand = array("d", [0.0]) * horizon
-        self.completions = array("l", [0]) * horizon
-        self.drops = array("l", [0]) * horizon
         self._horizon = horizon
         # Step t's allocation input and used CU, while recording.
         self._inputs: array | None = None
@@ -213,18 +210,17 @@ class TaskQueue:
         # The recorded run answered from; None once live.
         self._follow: TaskQueue | None = None
         runs = table.queue_runs
-        if runs is None:
+        if runs and runs[0]._horizon == horizon:
+            self._share(runs[0])
             return
-        if runs:
-            self._follow = runs[0]
-        else:
+        self._own_columns()
+        if runs == []:  # the table's first queue
             self._record()
             runs.append(self)
 
     def admit(self, positions: range) -> None:
         """Append the tasks at `positions` of the table, in order."""
         if self._follow is not None:
-            self.pending_count += len(positions)
             return
         table = self._table
         for i in positions:
@@ -232,7 +228,6 @@ class TaskQueue:
             entry = [0.0, True, cu, cu * table.runtime[i]]
             self._pending.append(entry)
             heapq.heappush(self._deadline_heap, (table.deadline[i], table.id[i], entry))
-            self.pending_count += 1
             self.pending_demand += cu
 
     def step_allocation(self, available_cu: float, now: int) -> tuple[float, int]:
@@ -240,20 +235,15 @@ class TaskQueue:
 
         Returns (used_cu, completions). `available_cu` must be >= 0.
         """
-        demand = self.pending_demand
-        self.queued_demand[now] = demand
         run = self._follow
         if run is not None:
             # 0.0 == -0.0 here, and either input allocates nothing.
             if available_cu == run._inputs[now]:
-                completions = run.completions[now]
-                if completions:
-                    self.completions[now] = completions
-                    self.finished_count += completions
-                    self.pending_count -= completions
-                return run._used[now], completions
-            self._leave(now, now + 1)
+                return run._used[now], run.completions[now]
+            self._leave(now)
             return self._allocate(available_cu, now)
+        demand = self.pending_demand
+        self.queued_demand[now] = demand
         used = 0.0
         completions = 0
         remaining = available_cu
@@ -282,12 +272,10 @@ class TaskQueue:
                 entry[0] = done
         if completions:
             self.completions[now] = completions
-            self.finished_count += completions
-            self.pending_count -= completions
-            self.pending_demand = demand if self.pending_count else 0.0
             pending = self._pending
             while pending and not pending[0][1]:
                 pending.popleft()
+            self.pending_demand = demand if pending else 0.0
         inputs = self._inputs
         if inputs is not None:
             inputs[now] = available_cu
@@ -302,16 +290,8 @@ class TaskQueue:
         """
         run = self._follow
         if run is not None:
-            if now == run._horizon:
-                self._leave(now, now)
-                return self._drop(now)
             self.pending_demand = run.queued_demand[now]
-            dropped = run.drops[now]
-            if dropped:
-                self.drops[now] = dropped
-                self.dropped_count += dropped
-                self.pending_count -= dropped
-            return dropped
+            return run.drops[now]
         dropped = 0
         heap = self._deadline_heap
         while heap and heap[0][0] < now:
@@ -323,13 +303,11 @@ class TaskQueue:
             self.pending_demand -= entry[2]
         if dropped:
             self.drops[now] = dropped
-            self.dropped_count += dropped
-            self.pending_count -= dropped
-            if self.pending_count == 0:
-                self.pending_demand = 0.0
             pending = self._pending
             while pending and not pending[0][1]:
                 pending.popleft()
+            if not pending:
+                self.pending_demand = 0.0
         return dropped
 
     # The live code under private names: a rebuild replays through these, so a
@@ -342,30 +320,43 @@ class TaskQueue:
         self._inputs = array("d", [0.0]) * self._horizon
         self._used = array("d", [0.0]) * self._horizon
 
-    def _leave(self, step: int, stop: int) -> None:
-        """Stop following the run followed so far at `step`, where it no longer answers.
+    def _own_columns(self) -> None:
+        self.queued_demand = array("d", [0.0]) * self._horizon
+        self.completions = array("l", [0]) * self._horizon
+        self.drops = array("l", [0]) * self._horizon
 
-        That is the first step whose allocation input differs, or the run's
-        horizon. The caller then repeats its call. A queue leaving the table's
-        first run follows the table's latest run next, if that is another run
-        whose horizon passes `step` and whose inputs before `step` equal the
-        first run's. Otherwise the queue replays steps 0 to stop - 1 through
-        the live code, allocating the followed run's inputs before `step`, and
-        runs live; it records and becomes the latest run unless the table's
-        runs are closed to new records (a tuple).
+    def _share(self, run: TaskQueue) -> None:
+        """Follow `run`, holding its three columns as this queue's own.
+
+        A run's record up to a step is that of any run whose inputs agree with
+        it up to there.
+        """
+        self._follow = run
+        self.queued_demand, self.completions, self.drops = (
+            run.queued_demand, run.completions, run.drops)
+
+    def _leave(self, step: int) -> None:
+        """Stop following the run followed so far at `step`, its first differing input.
+
+        The caller then repeats its call. A queue leaving the table's first
+        run follows the table's latest run next, if that is another run whose
+        inputs before `step` equal the first run's. Otherwise the queue takes
+        columns of its own, replays steps 0 to `step` through the live code,
+        allocating the followed run's inputs before `step`, and runs live; it
+        records and becomes the latest run unless the table's runs are closed
+        to new records (a tuple).
         """
         run = self._follow
         runs = self._table.queue_runs
         latest = runs[-1]
         # A follower follows the first run or the latest, so `latest is not run`
         # holds exactly when it leaves the first run for another one.
-        if (latest is not run and latest._horizon > step
-                and latest._inputs[:step] == run._inputs[:step]):
-            self._follow = latest
+        if latest is not run and latest._inputs[:step] == run._inputs[:step]:
+            self._share(latest)
             return
         self._follow = None
-        self.pending_count = self.finished_count = self.dropped_count = 0
         self.pending_demand = 0.0
+        self._own_columns()
         recording = isinstance(runs, list)
         if recording:
             self._record()
@@ -373,7 +364,7 @@ class TaskQueue:
         arrivals = self._table.arrival
         count = len(arrivals)
         i = 0
-        for t in range(stop):
+        for t in range(step + 1):
             self._drop(t)
             start = i
             while i < count and arrivals[i] <= t:

@@ -437,9 +437,11 @@ QUEUE_GRIDS = {
     "allocates_where_recorded_suspended": (
         [("rec", STOP, (100, 110), H), ("later", UNLIMITED, (0, 0), H),
          ("later_again", UNLIMITED, (0, 0), H)], {"later": 100}),
+    # A queue follows only a run of the table's first recorded run's horizon, so
+    # both longer scenarios run live, and neither records its run.
     "longer_horizon": (
         [("rec", UNLIMITED, (0, 0), H), ("later", UNLIMITED, (0, 0), 2 * H),
-         ("later_again", UNLIMITED, (0, 0), 2 * H)], {"later": None}),
+         ("later_too", UNLIMITED, (0, 0), 2 * H)], {"later": None}),
     # "earlier" leaves the first run before the latest one ("mid") did.
     "latest_run": (
         [("rec", UNLIMITED, (0, 0), H), ("mid", THROTTLE, (120, H), H),
@@ -455,8 +457,9 @@ QUEUE_GRIDS = {
     "suspends_where_recorded_idled": (
         [("rec", UNLIMITED, (0, 0), H), ("stop_again", STOP, (200, 220), H)],
         {"stop_again": 200}),
-    # The latest run ("short") ends before "later" leaves the first run, so
-    # "later" replays; "later_again" then follows "later" from step 180.
+    # "short" has another horizon, so it runs live and records nothing; "later"
+    # then finds no latest run to follow where it leaves the first run, and
+    # replays; "later_again" follows "later" from step 180.
     "latest_run_ended": (
         [("rec", UNLIMITED, (0, 0), H), ("short", THROTTLE, (60, H), 120),
          ("later", THROTTLE, (180, H), H), ("later_again", THROTTLE, (180, H), H)],
@@ -493,14 +496,40 @@ class TestQueueMemo:
             if report.label in differs:
                 assert first_difference(first.power_w, report.power_w) == differs[report.label]
 
-    def test_last_scenario_over_a_table_records_nothing(self, monkeypatch):
-        queues = []
+    @pytest.mark.parametrize("grid", QUEUE_GRIDS)
+    def test_grid_report_counts_agree_with_its_columns(self, grid):
+        scenarios, _ = QUEUE_GRIDS[grid]
+        tasks, configs = queue_grid(scenarios, QUIET_FROM.get(grid))
+        for report in run_matrix(configs):
+            assert report.finished_tasks == sum(report.completions)
+            assert report.dropped_tasks == sum(report.drops)
+            assert report.admitted_tasks == (report.finished_tasks + report.dropped_tasks
+                                             + report.pending_tasks)
+            assert report.admitted_tasks == sum(a < report.horizon for a in tasks.arrival)
+
+    @pytest.fixture
+    def queues(self, monkeypatch):
+        """Every TaskQueue run_scenario makes, in order."""
+        made = []
 
         def keeping_queue(table, horizon):
-            queues.append(TaskQueue(table, horizon))
-            return queues[-1]
+            made.append(TaskQueue(table, horizon))
+            return made[-1]
 
         monkeypatch.setattr(embudget.engine, "TaskQueue", keeping_queue)
+        return made
+
+    def test_follower_that_never_leaves_holds_the_runs_arrays(self, queues):
+        grid = "suspends_where_recorded_idled"
+        _, configs = queue_grid(QUEUE_GRIDS[grid][0], QUIET_FROM[grid])
+        reports = run_matrix(configs)
+        rec, follower = queues
+        assert follower._follow is rec
+        for name in ("queued_demand", "completions", "drops"):
+            assert getattr(follower, name) is getattr(rec, name)
+            assert getattr(reports[1], name) is getattr(reports[0], name)
+
+    def test_last_scenario_over_a_table_records_nothing(self, queues):
         _, configs = queue_grid(QUEUE_GRIDS["last_leaves"][0])
         reports = run_matrix(configs)
         rec, mid, last = queues

@@ -118,6 +118,12 @@ MALFORMED = {
         "cluster", {"nodes": [{"name": "medium", "capacity": 9, "idle_w": math.nan, "peak_w": 2}]}),
     "node_peak_nan": (
         "cluster", {"nodes": [{"name": "medium", "capacity": 9, "idle_w": 1, "peak_w": math.nan}]}),
+    # Unchecked, each ran: a capacity past the float range failed the run, an
+    # infinite peak reported infinite emissions.
+    "node_capacity_past_float": (
+        "cluster", {"nodes": [{"name": "medium", "capacity": 10 ** 400, "idle_w": 1, "peak_w": 2}]}),
+    "node_peak_infinite": (
+        "cluster", {"nodes": [{"name": "medium", "capacity": 9, "idle_w": 1, "peak_w": math.inf}]}),
 }
 
 # Values that, unchecked, would fail only once the run has started.
@@ -161,6 +167,13 @@ TRACE_DEFECTS = {
     "huge_cell": (TRACE_CSV.replace(",340", "," + "9" * 200_000), "field larger than field limit"),
     "bad_timestamp": (TRACE_CSV.replace("2024-01-01T01:00:00Z", "bogus"), "bad timestamp 'bogus'"),
 }
+
+
+def cluster_moving_to_its_last_node(size):
+    """A cluster of `size` nodes on which the plan moves to the last, the largest."""
+    nodes = [{"name": f"n{i}", "capacity": 1, "idle_w": 1, "peak_w": 2} for i in range(size - 1)]
+    nodes.append({"name": "last", "capacity": 10, "idle_w": 1, "peak_w": 2})
+    return {"nodes": nodes, "initial": "n0"}
 
 
 def refused_before_writing(path, tmp_path, capsys):
@@ -621,6 +634,34 @@ class TestCli:
         line = refused_before_writing(path, tmp_path, capsys)
         assert line == ("trace T1: task runtime plus deadline slack rounds away at second 599, "
                         "so a deadline would equal its arrival")
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("cluster", cluster_moving_to_its_last_node(200), "cluster has 200 nodes, more than 128"),
+        ("prices", [80, math.inf], "carbon prices must be positive and finite")],
+        ids=["cluster_of_200_nodes", "price_infinite"])
+    def test_value_the_run_cannot_use_refused(self, tmp_path, capsys, key, value, problem):
+        # Unchecked, the run failed on a node index past a signed byte, or wrote inf costs.
+        line = refused_before_writing(experiment_with(tmp_path, key, value), tmp_path, capsys)
+        assert line == problem
+
+    def test_cluster_of_128_nodes_runs_on_its_last(self, tmp_path):
+        path = experiment_with(tmp_path, "cluster", cluster_moving_to_its_last_node(128))
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert ",last," in (out / "steps_unlimited_T1.csv").read_text(encoding="utf-8")
+
+    def test_no_file_opened_in_the_locale_encoding(self, tmp_path):
+        # Under warn_default_encoding, a text file opened without an encoding
+        # warns; here the warning is an error, so it fails the command.
+        path = small_experiment(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(embudget.cli.__file__).parents[1])}
+        strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                  "-m", "embudget.cli"]
+        for args in (["validate", path], ["run", path, "--out", tmp_path / "out"]):
+            done = subprocess.run(strict + [str(a) for a in args], env=env, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b""), args
+        assert (tmp_path / "out" / "buckets_unlimited_T1.csv").exists()
 
     def test_cli_does_not_import_the_process_pool(self):
         code = "import sys, embudget.cli; print('concurrent.futures.process' in sys.modules)"

@@ -110,15 +110,9 @@ class TestAggregate:
         out = aggregate([2.0] * 10, 4)
         assert out == [8.0, 8.0, 4.0]
 
-    def test_mean_mode(self):
-        out = aggregate([1.0, 3.0, 5.0, 7.0], 2, "mean")
-        assert out == [2.0, 6.0]
-
     def test_bad_args(self):
         with pytest.raises(ReportError):
             aggregate([1.0], 0)
-        with pytest.raises(ReportError):
-            aggregate([1.0], 2, "max")
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=200),
@@ -126,13 +120,6 @@ class TestAggregate:
     def test_sum_conservation(self, series, bucket):
         assert math.fsum(aggregate(series, bucket)) == pytest.approx(
             math.fsum(series), abs=1e-9)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=200),
-           st.integers(min_value=1, max_value=50))
-    def test_mean_bounded_by_extremes(self, series, bucket):
-        for v in aggregate(series, bucket, "mean"):
-            assert min(series) - 1e-9 <= v <= max(series) + 1e-9
 
 
 class TestTraceCv:
@@ -188,11 +175,13 @@ def reference_summary(report, prices=DEFAULT_PRICES_EUR_PER_TON):
 
 
 def reference_buckets(report, bucket):
-    """buckets_csv's text from aggregate in its sum and mean modes."""
-    completions = aggregate(report.completions, bucket, "sum")
-    emissions = aggregate(report.emission_g, bucket, "sum")
-    emission_means = aggregate(report.emission_g, bucket, "mean")
-    power_means = aggregate(report.power_w, bucket, "mean")
+    """buckets_csv's text from aggregate's sums, each mean a sum over its bucket's size."""
+    completions = aggregate(report.completions, bucket)
+    emissions = aggregate(report.emission_g, bucket)
+    n = len(report.power_w)
+    sizes = [len(report.power_w[start:start + bucket]) for start in range(0, n, bucket)]
+    emission_means = [total / size for total, size in zip(emissions, sizes)]
+    power_means = [total / size for total, size in zip(aggregate(report.power_w, bucket), sizes)]
     lines = ["bucket_start_s,completions_sum,emission_sum_g,emission_mean_g,power_mean_w"]
     lines += [f"{i * bucket},{completions[i]:.0f},{emissions[i]:.9g},"
               f"{emission_means[i]:.9g},{power_means[i]:.6f}" for i in range(len(completions))]

@@ -129,7 +129,7 @@ class TestTaskTable:
 class TestAdmit:
     def test_three_arrivals(self):
         q = admitted(*[(i, i, 1, 5, 100) for i in range(3)])
-        assert q.pending_count == 3
+        assert q.pending_demand == 3.0
 
     @pytest.mark.parametrize("fields", [(math.nan, 5, 100), (1, math.nan, 100), (1, 5, math.nan),
                                         (math.inf, 5, 100), (1, math.inf, 100)],
@@ -141,7 +141,7 @@ class TestAdmit:
     def test_zero_arrivals(self):
         q = TaskQueue(TaskTable([]), 1)
         q.admit(range(0))
-        assert q.pending_count == 0
+        assert q.pending_demand == 0.0
 
 
 class TestStepAllocation:
@@ -151,7 +151,7 @@ class TestStepAllocation:
             used, done = q.step_allocation(2.0, step)
             assert used == 2.0
         assert done == 1
-        assert q.finished_count == 1
+        assert sum(q.completions) == 1
 
     def test_degraded_rate_takes_longer(self):
         q = admitted((0, 0, 2, 5, 1000))
@@ -160,7 +160,7 @@ class TestStepAllocation:
             _, done = q.step_allocation(1.0, step)
             completions += done
         assert completions == 1
-        assert q.finished_count == 1
+        assert sum(q.completions) == 1
 
     def test_no_cu_no_progress(self):
         q = admitted((0, 0, 2, 5, 1000))
@@ -173,7 +173,7 @@ class TestStepAllocation:
         # front finishes at the next step and the second one step later.
         steps = [q.step_allocation(6.0, step) for step in range(3)]
         assert steps == [(6.0, 0), (6.0, 1), (4.0, 1)]
-        assert q.finished_count == 2
+        assert sum(q.completions) == 2
 
     def test_capacity_respected(self):
         q = admitted(*[(i, 0, 3, 10, 1000) for i in range(5)])
@@ -189,7 +189,7 @@ class TestStepAllocation:
             used, done = q.step_allocation(3.0, step)
             granted += used
             completed += done
-        assert completed == q.finished_count == len(tasks)
+        assert completed == sum(q.completions) == len(tasks)
         assert granted == pytest.approx(sum(cu * runtime for _, _, cu, runtime, _ in tasks))
 
 
@@ -197,12 +197,12 @@ class TestDropExpired:
     def test_past_deadline_dropped(self):
         q = admitted((0, 0, 1, 5, 100))
         assert q.drop_expired(101) == 1
-        assert q.dropped_count == 1 and q.pending_count == 0
+        assert sum(q.drops) == 1 and q.pending_demand == 0.0
 
     def test_boundary_kept_inclusive(self):
         q = admitted((0, 0, 1, 5, 100))
         assert q.drop_expired(100) == 0
-        assert q.pending_count == 1
+        assert q.pending_demand == 1.0
 
     def test_empty_queue(self):
         q = admitted()
@@ -212,7 +212,7 @@ class TestDropExpired:
         q = admitted((0, 0, 1, 2, 100))
         q.step_allocation(1.0, 0)
         q.step_allocation(1.0, 1)
-        assert q.finished_count == 1
+        assert sum(q.completions) == 1
         assert q.drop_expired(500) == 0
 
 
@@ -238,9 +238,10 @@ class TestAccountingClosure:
             demand = q.pending_demand
             q.step_allocation(float(avail), t)
             assert q.queued_demand[t] == demand
-            assert q.finished_count + q.dropped_count + q.pending_count == i
-        assert sum(q.completions) == q.finished_count
-        assert sum(q.drops) == q.dropped_count
+            # Finished and dropped so far, plus the live entries, are the tasks admitted.
+            live = sum(entry[1] for entry in q._pending)
+            assert sum(q.completions) + sum(q.drops) + live == i
+            assert (q.pending_demand == 0.0) == (live == 0)
 
 
 class TestCsvRoundTrip:
